@@ -9,8 +9,6 @@ Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain/class errors,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
-import os
 import sys
 
 from .amplitudes import builtin, default_regularizer, rational_regularizer
@@ -355,12 +353,7 @@ def _cmd_sweep(args, stream) -> int:
             rep = os_integral_halfline(args.p, q, args.sign, lam, amp, cfg)
         return {args.over: v, **_report_record(rep)}
 
-    workers = max(1, min(len(grid), int(os.environ.get("OSCPHASE_THREADS", "1"))))
-    if workers > 1:
-        with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one, grid))
-    else:
-        records = [one(v) for v in grid]
+    records = [one(v) for v in grid]
 
     if args.format == "csv":
         rows = [_flatten(r) for r in records]

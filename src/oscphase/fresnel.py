@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .cgamma import POLE_TOL, gamma, gamma_residue
+from .cgamma import POLE_TOL, gamma, gamma_residue, pole_index
 from .errors import DomainError, PoleError
 
 
@@ -59,15 +59,6 @@ def generalized_fresnel(p: float, q: float, sign: int) -> FresnelValue:
     return FresnelValue(_closed_form(float(p), float(q), sign), float(p), float(q), sign)
 
 
-def _pole_j(w: complex, tol: float) -> int | None:
-    if w.real > 0.5:
-        return None
-    j = int(round(-w.real))
-    if j >= 0 and abs(w + j) <= tol:
-        return j
-    return None
-
-
 def generalized_fresnel_continued(
     p: complex, q: complex, sign: int, pole_tol: float = POLE_TOL
 ) -> Union[FresnelValue, PoleReport]:
@@ -82,7 +73,7 @@ def generalized_fresnel_continued(
     if p == 0:
         raise DomainError("continuation requires p != 0")
     w = q / p
-    j = _pole_j(w, pole_tol)
+    j = pole_index(w, pole_tol)
     if j is not None:
         residue = cmath.exp(-sign * 1j * math.pi * j / 2.0) * gamma_residue(j)
         return PoleReport(location=-p * j, order=1, residue=residue)

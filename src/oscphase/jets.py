@@ -49,9 +49,3 @@ def jet_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             acc -= out[i] * b[k - i]
         out[k] = acc / b[0]
     return out
-
-
-def const_jet(value: float, order: int, shape) -> np.ndarray:
-    out = np.zeros((order + 1,) + tuple(shape))
-    out[0] = value
-    return out

@@ -100,29 +100,6 @@ def _ensure_finite(z: complex, what: str) -> complex:
 # ----------------------------------------------------------------------
 
 
-def _pure_tail_bound(
-    rows, l: int, p: float, q: float, lam: float, a: Amplitude, X: float,
-    chi_c0: float = 1.0,
-) -> float:
-    """Upper bound for the transformed-tail integral magnitude over [X, inf)."""
-    total = 0.0
-    pref = (lam * p) ** (-l)
-    for j in range(l + 1):
-        c = abs(rows[l][j])
-        if c == 0.0:
-            continue
-        ab = a.deriv_bound(j)
-        if ab == 0.0:
-            continue
-        t_env = a.tau + a.delta * j
-        e_net = q - 1.0 - p * l + j + t_env
-        if e_net >= -1.0:
-            return math.inf
-        fudge = 2.0 ** (max(t_env, 0.0) / 2.0)
-        total += c * ab * fudge * X ** (e_net + 1.0) / (-e_net - 1.0)
-    return pref * total * chi_c0
-
-
 def _transition_bound(
     rows, l: int, p: float, q: float, lam: float, a: Amplitude, cutoff: CutoffSpec,
 ) -> float:
@@ -235,6 +212,16 @@ class _TermChain:
         return True
 
 
+def _tail_chain(rows, l: int, p: float, q: float, sign: int, lam: float, a: Amplitude):
+    """The depth-l transformed tail integrand (no cutoff) as a _TermChain."""
+    pref = (sign * 1j / (lam * p)) ** l
+    return _TermChain(
+        p, lam, sign, a, None, 0.0, q - 1.0 - p * l,
+        {(j, 0, j, 0): pref * rows[l][j] for j in range(l + 1)
+         if rows[l][j] != 0.0 and a.deriv_bound(j) != 0.0},
+    )
+
+
 def _by_parts_from(chain: _TermChain, X: float, tol: float):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
@@ -258,6 +245,33 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float):
         total += -phase * chain.value_at(X) / (s * 1j * lam * p * X ** (p - 1.0))
         chain = chain.step()
     return best_val, best_bound
+
+
+def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what):
+    """Add the integral of f = e^(phase) * chain over [X, inf) to (value, err, nodes).
+
+    Tries the boundary-term recursion from X; whenever it cannot certify the
+    remainder below tol, integrates f over one more chunk of at most
+    _CHUNK_MAX_PHASE phase and retries from the chunk's end. Returns
+    (value, err, nodes, X) with X the abscissa the recursion started from.
+    """
+    p, lam = chain.p, chain.lam
+    for _ in range(60):
+        far_val, far_bound = _by_parts_from(chain, X, tol)
+        if far_bound <= tol:
+            return value + far_val, err + far_bound, nodes, X
+        x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
+        if x_next <= X * (1.0 + 1e-9):
+            x_next = 2.0 * X
+        res = adaptive(
+            f, phase_breakpoints(X, x_next, p, lam), abs_tol, rel_tol,
+            cfg.max_nodes - nodes,
+        )
+        value += res.value
+        err += res.est_error
+        nodes += res.nodes_used
+        X = x_next
+    raise BudgetError(f"{what} did not certify by X={X:.3e}")
 
 
 # ----------------------------------------------------------------------
@@ -310,7 +324,7 @@ def _tail_part(p, q, sign, lam, a, cutoff, cfg, scale_hint, abs_tol, rel_tol):
     tol_skip = 0.1 * max(abs_tol, rel_tol * scale_hint)
     bounds = {
         l: _transition_bound(tables[l].rows, l, p, q, lam, a, cutoff)
-        + _pure_tail_bound(tables[l].rows, l, p, q, lam, a, cutoff.r)
+        + _tail_chain(tables[l].rows, l, p, q, sign, lam, a).bound_beyond(cutoff.r)
         for l in candidates
     }
     l_best = min(candidates, key=lambda l: bounds[l])
@@ -338,8 +352,7 @@ def _tail_part(p, q, sign, lam, a, cutoff, cfg, scale_hint, abs_tol, rel_tol):
     err += res_mid.est_error + _EPS * cond(l) * (cutoff.r - 1.0)
     nodes += res_mid.nodes_used
 
-    # pure zone [r, inf): boundary-term recursion, extending by quadrature
-    # chunks whenever the recursion cannot yet certify the remainder
+    # pure zone [r, inf): no cutoff derivatives left
     tol_far = max(cfg.tail_truncation_tol, 1e-16 * scale_hint)
     parts_pure = TailParts(q, a, None, None, 0.0)
 
@@ -348,32 +361,11 @@ def _tail_part(p, q, sign, lam, a, cutoff, cfg, scale_hint, abs_tol, rel_tol):
             table, lam, sign, parts_pure, x
         )
 
-    pref = (sign * 1j / (lam * p)) ** l
-    chain0 = _TermChain(
-        p, lam, sign, a, None, 0.0, q - 1.0 - p * l,
-        {(j, 0, j, 0): pref * rows[l][j] for j in range(l + 1)
-         if rows[l][j] != 0.0 and a.deriv_bound(j) != 0.0},
+    value, err, nodes, X = _finish_tail(
+        _tail_chain(rows, l, p, q, sign, lam, a), f_pure, cutoff.r, value, err, nodes,
+        tol_far, abs_tol, rel_tol, cfg, "tail truncation",
     )
-    X = cutoff.r
-    for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain0, X, tol_far)
-        if far_bound <= tol_far:
-            return value + far_val, err + far_bound, nodes, l, X
-        direct = _pure_tail_bound(rows, l, p, q, lam, a, X)
-        if direct <= tol_far:
-            return value, err + direct, nodes, l, X
-        x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
-        if x_next <= X * (1.0 + 1e-9):
-            x_next = 2.0 * X
-        res = adaptive(
-            f_pure, phase_breakpoints(X, x_next, p, lam), abs_tol, rel_tol,
-            cfg.max_nodes - nodes,
-        )
-        value += res.value
-        err += res.est_error
-        nodes += res.nodes_used
-        X = x_next
-    raise BudgetError(f"tail truncation did not certify by X={X:.3e}")
+    return value, err, nodes, l, X
 
 
 def os_integral_halfline(
@@ -492,37 +484,21 @@ def _eps_single(p, q, sign, lam, a, chi, eps, cfg) -> complex:
     res = osc_power_integral(
         weight, 0.0, X0, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
     )
-    value = res.value
-    err = res.est_error
-    nodes = res.nodes_used
-
-    tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(value), 1.0))
+    tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(res.value), 1.0))
     chain0 = _TermChain(p, lam, sign, a, chi, eps, q - 1.0, {(0, 0, 0, 0): 1.0 + 0.0j})
 
     def f_far(x):
         ph = np.exp(1j * sign * lam * x**p)
         return ph * x ** (q - 1.0) * a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
 
-    X = X0
-    for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain0, X, tol_far)
-        if far_bound <= tol_far:
-            return value + far_val
-        x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
-        if x_next <= X * (1.0 + 1e-9):
-            x_next = 2.0 * X
-        res = adaptive(
-            f_far, phase_breakpoints(X, x_next, p, lam), abs_tol, rel_tol,
-            cfg.max_nodes - nodes,
-        )
-        value += res.value
-        err += res.est_error
-        nodes += res.nodes_used
-        X = x_next
-    raise BudgetError(f"epsilon-path tail did not certify by X={X:.3e}")
+    value, _, _, _ = _finish_tail(
+        chain0, f_far, X0, res.value, res.est_error, res.nodes_used,
+        tol_far, abs_tol, rel_tol, cfg, "epsilon-path tail",
+    )
+    return value
 
 
-def _neville_at_zero(ts, vs):
+def neville_at_zero(ts, vs):
     """Polynomial extrapolation to t=0 through the points (ts, vs)."""
     n = len(ts)
     tab = list(vs)
@@ -554,7 +530,7 @@ def epsilon_regularized(
     vals = [_eps_single(p, q, sign, lam, a, chi, e, cfg) for e in eps]
     deg = min(4, len(eps) - 1)
     extr = [
-        _neville_at_zero(eps[i - deg : i + 1], vals[i - deg : i + 1])
+        neville_at_zero(eps[i - deg : i + 1], vals[i - deg : i + 1])
         for i in range(deg, len(eps))
     ]
     if len(extr) >= 2:

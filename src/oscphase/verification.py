@@ -8,6 +8,7 @@ pinned here, one place, at the values the package promises.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import random
 import time
@@ -36,6 +37,7 @@ from .oscillatory import (
     DEFAULT_EPS_LADDER,
     QuadratureConfig,
     epsilon_regularized,
+    neville_at_zero,
     os_integral_fullline,
     os_integral_halfline,
     rotated_contour_reference,
@@ -59,19 +61,28 @@ class CheckResult:
         return ok
 
 
-def _neville_limit(hs, vs):
-    tab = list(vs)
-    n = len(hs)
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = tab[i + 1] + (tab[i] - tab[i + 1]) * hs[i + m] / (hs[i + m] - hs[i])
-    return tab[0]
+def _timed(budget_s: float | None = None):
+    """Set the check's elapsed time; with a budget, also row it as the last check."""
+
+    def wrap(check):
+        @functools.wraps(check)
+        def timed(*args, **kwargs) -> CheckResult:
+            t0 = time.perf_counter()
+            out = check(*args, **kwargs)
+            out.elapsed = time.perf_counter() - t0
+            if budget_s is not None:
+                out.row(out.elapsed < budget_s, f"runtime {out.elapsed:.2f}s < {budget_s:g}s")
+            return out
+
+        return timed
+
+    return wrap
 
 
+@_timed(5.0)
 def check_fresnel_anchor() -> CheckResult:
     """Criterion 1: the classical Fresnel value through all three paths."""
     out = CheckResult("fresnel-anchor", True)
-    t0 = time.time()
     exact = math.sqrt(math.pi) / 2.0 * cmath.exp(1j * math.pi / 4.0)
     for sign in (+1, -1):
         v = generalized_fresnel(2.0, 1.0, sign).value
@@ -86,15 +97,13 @@ def check_fresnel_anchor() -> CheckResult:
     )
     d = abs(v - exact)
     out.row(d <= 1e-4, f"epsilon path: diff {d:.2e} <= 1e-4")
-    out.elapsed = time.time() - t0
-    out.row(out.elapsed < 5.0, f"runtime {out.elapsed:.2f}s < 5s")
     return out
 
 
+@_timed(120.0)
 def check_three_path_grid() -> CheckResult:
     """Criterion 2: quadrature and rotated contour vs closed form on the grid."""
     out = CheckResult("three-path-grid", True)
-    t0 = time.time()
     one = builtin("constant_one")
     for p in GRID_P:
         for q in sorted({0.3, 1.0, p, p + 0.5, p + 2.0}):
@@ -105,11 +114,10 @@ def check_three_path_grid() -> CheckResult:
                 d_num < 1e-6 and d_rot < 1e-9,
                 f"p={p:g} q={q:g}: quad {d_num:.2e} < 1e-6, contour {d_rot:.2e} < 1e-9",
             )
-    out.elapsed = time.time() - t0
-    out.row(out.elapsed < 120.0, f"runtime {out.elapsed:.2f}s < 120s")
     return out
 
 
+@_timed()
 def check_gelfand_shilov() -> CheckResult:
     """Criterion 3: epsilon path against the p=1 Fourier-transform identity."""
     out = CheckResult("gelfand-shilov", True)
@@ -123,6 +131,7 @@ def check_gelfand_shilov() -> CheckResult:
     return out
 
 
+@_timed()
 def check_beta_identity() -> CheckResult:
     """Criterion 4: generalized Beta reduces to Euler Beta at p=(1,1,1)."""
     out = CheckResult("beta-identity", True)
@@ -159,10 +168,10 @@ def brute_ibp_rows(p: Fraction, q: Fraction, lmax: int):
     return rows
 
 
+@_timed(30.0)
 def check_ibp_oracle(cases: int = 100, lmax: int = 8, seed: int = 20240817) -> CheckResult:
     """Criterion 5: recurrence table == brute-force symbolic application."""
     out = CheckResult("ibp-oracle", True)
-    t0 = time.time()
     rng = random.Random(seed)
     bad = 0
     for _ in range(cases):
@@ -172,12 +181,11 @@ def check_ibp_oracle(cases: int = 100, lmax: int = 8, seed: int = 20240817) -> C
         brute = brute_ibp_rows(p, q, lmax)
         if rec != tuple(brute):
             bad += 1
-    out.elapsed = time.time() - t0
     out.row(bad == 0, f"{cases} random rational (p,q), l<={lmax}: {bad} mismatches")
-    out.row(out.elapsed < 30.0, f"runtime {out.elapsed:.2f}s < 30s")
     return out
 
 
+@_timed()
 def check_continuation() -> CheckResult:
     """Criterion 6: numeric residue limits match e^(-i pi j/2) (-1)^j / j!."""
     out = CheckResult("continuation", True)
@@ -186,17 +194,17 @@ def check_continuation() -> CheckResult:
         vals = [
             h * generalized_fresnel_continued(p, -p * j + h, +1).value for h in hs
         ]
-        limit = _neville_limit(hs, vals)
+        limit = neville_at_zero(hs, vals)
         expect = cmath.exp(-1j * math.pi * j / 2.0) * (-1) ** j / math.factorial(j)
         d = abs(limit - expect)
         out.row(d < 1e-6, f"(p,j)=({p},{j}): residue-limit diff {d:.2e} < 1e-6")
     return out
 
 
+@_timed(300.0)
 def check_remainder_fullline() -> CheckResult:
     """Criterion 7: full-line remainder order for m=2, gaussian, N in 3..5."""
     out = CheckResult("remainder-fullline", True)
-    t0 = time.time()
     a = builtin("gaussian")
     directs = [os_integral_fullline(2, +1, lam, a).value for lam in SLOPE_GRID]
     for N in (3, 4, 5):
@@ -206,11 +214,10 @@ def check_remainder_fullline() -> CheckResult:
             fit.fitted_slope <= bound,
             f"N={N}: slope {fit.fitted_slope:.3f} <= {bound:.3f} (r2 {fit.r_squared:.4f})",
         )
-    out.elapsed = time.time() - t0
-    out.row(out.elapsed < 300.0, f"runtime {out.elapsed:.2f}s < 300s")
     return out
 
 
+@_timed()
 def check_remainder_halfline() -> CheckResult:
     """Criterion 8: half-line remainder order for p=2.5, gaussian, N=5."""
     out = CheckResult("remainder-halfline", True)
@@ -223,6 +230,7 @@ def check_remainder_halfline() -> CheckResult:
     return out
 
 
+@_timed()
 def check_superpolynomial_decay() -> CheckResult:
     """Criterion 9: m=1 gaussian decays faster than any power; exact anchor."""
     out = CheckResult("decay-m1", True)
@@ -238,6 +246,7 @@ def check_superpolynomial_decay() -> CheckResult:
     return out
 
 
+@_timed()
 def check_stationary_reduction() -> CheckResult:
     """Criterion 10: quadratic-phase wrapper == full-line expansion at m=2."""
     out = CheckResult("stationary-reduction", True)
@@ -256,11 +265,11 @@ def check_stationary_reduction() -> CheckResult:
     return out
 
 
+@_timed(180.0)
 def check_structural_invariants() -> CheckResult:
     """Criterion 11: conjugate symmetry, odd-term vanishing, cutoff/chi
     independence, and the lambda-scaling law."""
     out = CheckResult("invariants", True)
-    t0 = time.time()
     one = builtin("constant_one")
     gauss = builtin("gaussian")
 
@@ -302,8 +311,6 @@ def check_structural_invariants() -> CheckResult:
     slope = np.polyfit(np.log(lams), np.log(mags), 1)[0]
     out.row(slope <= -(3.0 - 2.0) / 2.0 + 0.1, f"decay slope q>p: {slope:.3f} <= -0.4")
 
-    out.elapsed = time.time() - t0
-    out.row(out.elapsed < 180.0, f"runtime {out.elapsed:.2f}s < 180s")
     return out
 
 

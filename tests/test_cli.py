@@ -110,6 +110,14 @@ def test_verify_beta_suite(capsys):
     assert "[PASS] beta-identity" in out
 
 
+def test_verify_reports_elapsed_per_suite(capsys):
+    code, out = run(capsys, "verify", "--suite", "beta,continuation")
+    assert code == 0
+    suites = json.loads(out)["suites"]
+    assert [s["name"] for s in suites] == ["beta-identity", "continuation"]
+    assert all(s["elapsed_s"] > 0 for s in suites)
+
+
 def test_verify_unknown_suite(capsys):
     code, _ = run(capsys, "verify", "--suite", "nonsense")
     assert code == 3
