@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     except (DomainError, ClassError, OrderError, PoleError, UnknownAmplitude) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _DOMAIN_EXIT
-    except (ConvergenceError, BudgetError, NoiseFloorError) as exc:
+    except (ConvergenceError, BudgetError, NoiseFloorError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _CONVERGENCE_EXIT
 

@@ -141,6 +141,15 @@ def test_budget_error_exit_code(capsys):
     assert code == 4
 
 
+def test_overflow_exit_code(capsys):
+    # at p = 0.3 and lambda = 0.01 the boundary-term recursion leaves double
+    # range; the call must end in a one-line error, not a traceback
+    code = main(["oscint", "--method", "eps", "--p", "0.3", "--q", "0.25", "--lambda", "0.01"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_unknown_amplitude_exit_code(capsys):
     code, _ = run(capsys, "oscint", "--halfline", "--p", "2", "--amplitude", "bogus")
     assert code == 3

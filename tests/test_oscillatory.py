@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -23,6 +24,7 @@ from oscphase import (
     rational_regularizer,
     rotated_contour_reference,
 )
+from oscphase.oscillatory import _sph_jn
 
 ONE = builtin("constant_one")
 GAUSS = builtin("gaussian")
@@ -221,3 +223,57 @@ def test_fullline_reflection_with_asymmetric_amplitude():
         rep = os_integral_fullline(1, +1, lam, amp)
         expect = math.sqrt(math.pi) * math.exp(-lam * lam / 4.0) * (1.0 + 0.5j * lam)
         assert abs(rep.value - expect) <= 1e-10
+
+
+# both regimes of the spherical Bessel moments (Miller's ratio recurrence up
+# to nmax + 12 = 35, upward recurrence above) and both edges of the switch;
+# tiny arguments, where an unnormalized recurrence would overflow; pi and
+# 2 pi are zeros of j_0, where the normalization must not divide by it
+_BESSEL_THETAS = (1e-8, 0.3, 1.49, 1.5, 2.0, math.pi, 2.0 * math.pi, 10.0, 35.0, 35.9,
+                  36.1, 100.0, 1e4)
+
+
+def test_spherical_bessel_moments_match_mpmath():
+    got = _sph_jn(23, np.array(_BESSEL_THETAS))
+    assert got.shape == (len(_BESSEL_THETAS), 24)
+    for row, theta in zip(got, _BESSEL_THETAS):
+        t = mp.mpf(theta)
+        for n in range(24):
+            ref = float(mp.sqrt(mp.pi / (2 * t)) * mp.besselj(n + 0.5, t))
+            assert abs(row[n] - ref) <= 1e-15 + 1e-12 * abs(ref), (theta, n)
+
+
+@pytest.mark.parametrize(
+    "p,q,lam",
+    [(0.7, 0.5, 10**4.5), (0.7, 1.0, 10**4.5), (0.7, 1.2, 10**4.5), (2.0, 2.5, 1e4)],
+)
+def test_node_budget_respected(p, q, lam):
+    cfg = QuadratureConfig()
+    rep = os_integral_halfline(p, q, +1, lam, ONE, cfg)
+    assert rep.nodes_used <= cfg.max_nodes
+    expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+    assert abs(rep.value - expect) <= max(cfg.abs_tol, cfg.rel_tol * abs(expect))
+
+
+@pytest.mark.parametrize("p,q,lam", [(1.0, 0.5, 3.2e3), (3.0, 1.0, 1e3)])
+def test_filon_and_gl_compact_engines_agree(p, q, lam):
+    filon = os_integral_halfline(p, q, +1, lam, ONE)
+    gl = os_integral_halfline(
+        p, q, +1, lam, ONE, QuadratureConfig(filon_period_threshold=math.inf)
+    )
+    assert abs(filon.value - gl.value) <= filon.est_error + gl.est_error
+    assert filon.nodes_used < gl.nodes_used
+
+
+@pytest.mark.parametrize("p", [0.7, 1.0, 1.5, 2.0, 3.0])
+def test_forced_filon_estimate_is_honest(p):
+    # below the switch too, where the cutoff's transition zone and the
+    # aliased Legendre tail dominate the error at small panel arguments
+    cfg = QuadratureConfig(filon_period_threshold=0.0)
+    for q in (0.3, 0.5, 1.0, p + 0.5):
+        for lam in (1.0, 10.0, 100.0, 1e3):
+            rep = os_integral_halfline(p, q, +1, lam, ONE, cfg)
+            expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+            err = abs(rep.value - expect)
+            assert err <= rep.est_error, (q, lam)
+            assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(expect)), (q, lam)
