@@ -4,7 +4,9 @@ An amplitude a lives in the class with parameters (tau, delta) when
 |a^(k)(x)| <= C_k <x>^(tau + delta k) for every k, where <x> = sqrt(1+x^2).
 Built-ins ship exact derivative recurrences plus sampled envelope constants;
 the constants are upper bounds used by the certified tail truncation, so they
-carry a small safety margin.
+carry a small safety margin. A miss at order k fills every missing order up to
+about 2k from one grid stack; a stack's rows do not depend on its order, so
+the constants do not depend on the order in which they are asked for.
 """
 
 from __future__ import annotations
@@ -12,12 +14,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, OrderError, UnknownAmplitude
-from .jets import derivs_to_jet, jet_div, jet_mul, jet_to_derivs
+from .jets import derivs_to_jet, jet_div, jet_to_derivs
 
 _ENVELOPE_MARGIN = 1.05
 _ENVELOPE_GRID = np.linspace(-60.0, 60.0, 12001)
@@ -25,6 +27,23 @@ _ENVELOPE_GRID = np.linspace(-60.0, 60.0, 12001)
 
 def _hypot1(x: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
+
+
+_ENVELOPE_HYPOT = _hypot1(_ENVELOPE_GRID)
+
+
+def _fill_envelopes(cache: dict, k: int, max_order: int, stack, sup) -> None:
+    """Fill the missing cache orders up to about 2k from one grid stack.
+
+    sup(|d|, m) is the weighted sup of row m; a row that is zero everywhere on
+    the grid gets 0 without it. Past max_order, stack raises OrderError.
+    """
+    top = max(k, min(2 * k, max_order))
+    rows = stack(_ENVELOPE_GRID, top)
+    for m in range(top + 1):
+        if m not in cache:
+            d = rows[m]
+            cache[m] = sup(np.abs(d), m) * _ENVELOPE_MARGIN if d.any() else 0.0
 
 
 @dataclass(frozen=True)
@@ -35,6 +54,7 @@ class Amplitude:
     array of shape (order+1, len(x)); deriv(k, x) is the scalar-order view.
     seminorm_bound(l) bounds max_{k<=l} sup_x <x>^(-tau-delta k) |a^(k)(x)|,
     deriv_bound(k) the single-order sup (sharper; 0 for vanishing orders).
+    _bound_source (b, j) makes deriv_bound(k) read b.deriv_bound(k + j).
     """
 
     name: str
@@ -43,6 +63,7 @@ class Amplitude:
     max_order: int
     _stack: Callable[[np.ndarray, int], np.ndarray]
     _bound_cache: dict = field(default_factory=dict, compare=False)
+    _bound_source: Optional[tuple] = field(default=None, compare=False)
 
     def deriv_stack(self, x, order: int) -> np.ndarray:
         if order > self.max_order:
@@ -59,11 +80,14 @@ class Amplitude:
 
     def deriv_bound(self, k: int) -> float:
         """Envelope constant: |a^(k)(x)| <= deriv_bound(k) * <x>^(tau+delta k)."""
+        if self._bound_source is not None:
+            a, j = self._bound_source
+            return a.deriv_bound(k + j)
         if k not in self._bound_cache:
-            d = self.deriv_stack(_ENVELOPE_GRID, k)[k]
-            env = _hypot1(_ENVELOPE_GRID) ** (self.tau + self.delta * k)
-            sup = float(np.max(np.abs(d) / env))
-            self._bound_cache[k] = 0.0 if sup == 0.0 else sup * _ENVELOPE_MARGIN
+            _fill_envelopes(
+                self._bound_cache, k, self.max_order, self.deriv_stack,
+                lambda ad, m: float(np.max(ad / _ENVELOPE_HYPOT ** (self.tau + self.delta * m))),
+            )
         return self._bound_cache[k]
 
     def seminorm_bound(self, l: int) -> float:
@@ -100,15 +124,17 @@ def _rational_stack(x: np.ndarray, order: int, s: float) -> np.ndarray:
 
 
 def _poly_gaussian_stack(x: np.ndarray, order: int, coeffs: tuple) -> np.ndarray:
+    # jet product P * g, skipping the zero Taylor coefficients of P beyond its degree
     g = derivs_to_jet(_gaussian_stack(x, order))
-    pj = np.zeros((order + 1, x.size))
-    # Taylor coefficients of the polynomial about each x
-    for k in range(min(order, len(coeffs) - 1) + 1):
+    out = np.zeros_like(g)
+    for i in range(min(order, len(coeffs) - 1) + 1):
+        # Taylor coefficient i of the polynomial about each x
         acc = np.zeros_like(x)
-        for m in range(len(coeffs) - 1, k - 1, -1):
-            acc = acc * x + coeffs[m] * math.comb(m, k)
-        pj[k] = acc
-    return jet_to_derivs(jet_mul(pj, g))
+        for m in range(len(coeffs) - 1, i - 1, -1):
+            acc = acc * x + coeffs[m] * math.comb(m, i)
+        for k in range(i, order + 1):
+            out[k] += acc * g[k - i]
+    return jet_to_derivs(out)
 
 
 _RATIONAL_RE = re.compile(r"^rational_decay\(\s*([0-9.eE+-]+)\s*\)$")
@@ -147,7 +173,7 @@ def builtin(name: str) -> Amplitude:
 
 
 def reflected(a: Amplitude) -> Amplitude:
-    """Amplitude x -> a(-x); same class parameters and envelope constants."""
+    """Amplitude x -> a(-x); same class parameters, and a's envelope constants."""
 
     def stack(x, order):
         d = a.deriv_stack(-x, order)
@@ -155,11 +181,17 @@ def reflected(a: Amplitude) -> Amplitude:
             d[k] = -d[k]
         return d
 
-    return Amplitude(f"reflect({a.name})", a.tau, a.delta, a.max_order, stack)
+    return Amplitude(
+        f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, _bound_source=(a, 0)
+    )
 
 
 def derivative_shift(a: Amplitude, j: int) -> Amplitude:
-    """The amplitude a^(j), living in the class (tau + delta j, delta)."""
+    """The amplitude a^(j), living in the class (tau + delta j, delta).
+
+    Its order-k envelope constant is a's of order k + j: the class exponent
+    tau + delta j + delta k is a's at order k + j.
+    """
     if j == 0:
         return a
     if j > a.max_order:
@@ -169,7 +201,8 @@ def derivative_shift(a: Amplitude, j: int) -> Amplitude:
         return a.deriv_stack(x, order + j)[j:]
 
     return Amplitude(
-        f"D{j}({a.name})", a.tau + a.delta * j, a.delta, a.max_order - j, stack
+        f"D{j}({a.name})", a.tau + a.delta * j, a.delta, a.max_order - j, stack,
+        _bound_source=(a, j),
     )
 
 
@@ -313,9 +346,10 @@ class RegularizerSpec:
     def uniform_bound(self, u: int) -> float:
         """C_u with |d^u/dx^u chi(eps x)| <= C_u <x>^(-u) for all 0 < eps < 1."""
         if u not in self._bound_cache:
-            d = self._stack(_ENVELOPE_GRID, u)[u]
-            sup = float(np.max(np.abs(d) * _hypot1(_ENVELOPE_GRID) ** u))
-            self._bound_cache[u] = sup * _ENVELOPE_MARGIN
+            _fill_envelopes(
+                self._bound_cache, u, self.max_order, self._stack,
+                lambda ad, m: float(np.max(ad * _ENVELOPE_HYPOT**m)),
+            )
         return self._bound_cache[u]
 
 

@@ -131,13 +131,17 @@ def _transition_bound(
 
 
 class _TermChain:
-    """Finite sum of c * x^e * a^(j)(x) * chi_eps^(u)(x) closed under L*.
+    """Finite sum of c[k] * x^(e_base - p*n + k) * g^(k)(x) closed under L*.
 
-    Exponents live on the lattice e = e_base + da - p*db, so merging keys
-    (da, db, j, u) is exact. chi absent means u fixed at 0 with chi == 1.
+    g = a * chi_eps with chi_eps(x) = chi(eps x), or g = a when chi is absent;
+    n counts the applications of sign*L*. By Leibniz the coefficient of
+    a^(j) chi_eps^(k-j) is binom(k, j) c[k]. ja is the highest amplitude order
+    in play: an order whose envelope constant is 0 vanishes, and without chi
+    it stops the list from growing. Every step of one chain shares the
+    envelope weight rows.
     """
 
-    def __init__(self, p, lam, sign, amp, chi, eps, e_base, terms):
+    def __init__(self, p, lam, sign, amp, chi, eps, e_base, c, n=0, ja=None, weights=None):
         self.p = p
         self.lam = lam
         self.sign = sign
@@ -145,80 +149,109 @@ class _TermChain:
         self.chi = chi
         self.eps = eps
         self.e_base = e_base
-        self.terms = terms  # dict[(da, db, j, u)] -> complex
-
-    def exponent(self, key) -> float:
-        da, db, _, _ = key
-        return self.e_base + da - self.p * db
+        self.c = c  # list of complex, index k
+        self.n = n
+        self.ja = len(c) - 1 if ja is None else ja
+        self.weights = [] if weights is None else weights
 
     def step(self) -> "_TermChain":
-        # sign*L* applied to every term
-        out: dict = {}
+        # sign*L* of c x^e g^(k): f c ((e+1-p) x^(e-p) g^(k) + x^(e+1-p) g^(k+1))
         f = self.sign * 1j / (self.lam * self.p)
-        for (da, db, j, u), c in self.terms.items():
-            e = self.e_base + da - self.p * db
-            base = f * c
-            k1 = (da, db + 1, j, u)
-            out[k1] = out.get(k1, 0.0) + base * (e + 1.0 - self.p)
-            if self.amp.deriv_bound(j + 1) != 0.0:
-                k2 = (da + 1, db + 1, j + 1, u)
-                out[k2] = out.get(k2, 0.0) + base
-            if self.chi is not None:
-                k3 = (da + 1, db + 1, j, u + 1)
-                out[k3] = out.get(k3, 0.0) + base
+        c, top = self.c, len(self.c) - 1
+        out = []
+        for k in range(top + 1):
+            e = self.e_base + k - self.p * self.n
+            out.append(f * c[k] * (e + 1.0 - self.p) + (f * c[k - 1] if k else 0.0))
+        ja = self.ja
+        if ja == top and self.amp.deriv_bound(ja + 1) != 0.0:
+            ja += 1
+        if c and (self.chi is not None or ja > top):
+            out.append(f * c[top])
         return _TermChain(self.p, self.lam, self.sign, self.amp, self.chi, self.eps,
-                          self.e_base, out)
+                          self.e_base, out, self.n + 1, ja, self.weights)
 
-    def max_orders(self):
-        jm = max((k[2] for k in self.terms), default=0)
-        um = max((k[3] for k in self.terms), default=0)
-        return jm, um
+    def _derivs_at(self, x: float, memo: dict):
+        """g^(0..K)(x); memo keeps the stacks at x across the steps of one recursion."""
+        a = _grown(memo, "a", self.ja, self.amp.max_order,
+                   lambda m: self.amp.deriv_stack(np.array([x]), m)[:, 0])
+        if self.chi is None:
+            return a
+        top = len(self.c) - 1
+        cd = _grown(memo, "chi", top, self.chi.max_order,
+                    lambda m: self.chi.scaled_stack(np.array([x]), self.eps, m)[:, 0])
+        g = memo.setdefault("g", [])
+        for k in range(len(g), top + 1):
+            g.append(sum(math.comb(k, j) * a[j] * cd[k - j] for j in range(min(k, self.ja) + 1)))
+        return g
 
-    def value_at(self, x: float) -> complex:
-        jm, um = self.max_orders()
-        ad = self.amp.deriv_stack(np.array([x]), jm)[:, 0]
-        cd = None
-        if self.chi is not None:
-            cd = self.chi.scaled_stack(np.array([x]), self.eps, um)[:, 0]
+    def value_at(self, x: float, memo: dict) -> complex:
+        """The chain at x; pass one memo for every step of one recursion."""
+        g = self._derivs_at(x, memo)
         acc = 0.0 + 0.0j
-        for (da, db, j, u), c in self.terms.items():
-            v = c * x ** (self.e_base + da - self.p * db) * ad[j]
-            if cd is not None:
-                v *= cd[u]
-            acc += v
+        for k, c in enumerate(self.c):
+            acc += c * x ** (self.e_base + k - self.p * self.n) * g[k]
         return acc
 
+    def _weight_rows(self) -> list:
+        """Row k: {(1+delta) j: sum of binom(k,j) A_j fudge_j C_(k-j)} over the live j.
+
+        A_j, C_u are the envelope constants of a and chi (C = 1 without chi);
+        (1+delta) j shifts the exponent of the term's envelope.
+        """
+        amp, chi, rows = self.amp, self.chi, self.weights
+        for k in range(len(rows), len(self.c)):
+            row: dict = {}
+            for j in (range(min(k, self.ja) + 1) if chi is not None else (k,)):
+                ab = amp.deriv_bound(j)
+                if ab == 0.0:
+                    continue
+                cb = chi.uniform_bound(k - j) if chi is not None else 1.0
+                fudge = 2.0 ** (max(amp.tau + amp.delta * j, 0.0) / 2.0)
+                s = (1.0 + amp.delta) * j
+                row[s] = row.get(s, 0.0) + math.comb(k, j) * ab * cb * fudge
+            rows.append(row)
+        return rows
+
     def bound_beyond(self, x: float) -> float:
+        e0 = self.e_base - self.p * self.n + self.amp.tau
+        mass: dict = {}
+        for c, row in zip(self.c, self._weight_rows()):
+            if c != 0.0:
+                for s, w in row.items():
+                    mass[s] = mass.get(s, 0.0) + abs(c) * w
         total = 0.0
-        for (da, db, j, u), c in self.terms.items():
-            ab = self.amp.deriv_bound(j)
-            if ab == 0.0 or c == 0.0:
-                continue
-            cb = self.chi.uniform_bound(u) if self.chi is not None else 1.0
-            t_env = self.amp.tau + self.amp.delta * j
-            e_net = (self.e_base + da - self.p * db) + t_env - u
+        for s, m in mass.items():
+            e_net = e0 + s
             if e_net >= -1.0:
                 return math.inf
-            fudge = 2.0 ** (max(t_env, 0.0) / 2.0)
-            total += abs(c) * ab * cb * fudge * x ** (e_net + 1.0) / (-e_net - 1.0)
+            total += m * x ** (e_net + 1.0) / (-e_net - 1.0)
         return total
 
     def order_budget_ok(self) -> bool:
-        jm, um = self.max_orders()
-        if jm + 1 > self.amp.max_order:
-            return False
-        if self.chi is not None and um + 1 > self.chi.max_order:
-            return False
-        return True
+        # one more step must stay within the derivative orders of a and chi
+        return self.ja < self.amp.max_order and (
+            self.chi is None or len(self.c) <= self.chi.max_order)
+
+
+def _grown(memo: dict, key: str, order: int, cap: int, stack):
+    """Rows 0..order of stack(m) at one abscissa, re-evaluated at twice the order
+    (at most cap) when a step needs more than memo holds."""
+    rows = memo.get(key)
+    if rows is None or len(rows) <= order:
+        m = order if rows is None else min(max(order, 2 * len(rows)), cap)
+        rows = memo[key] = stack(m)
+    return rows
 
 
 def _tail_chain(rows, l: int, p: float, q: float, sign: int, lam: float, a: Amplitude):
     """The depth-l transformed tail integrand (no cutoff) as a _TermChain."""
     pref = (sign * 1j / (lam * p)) ** l
+    live = 0
+    while live <= l and a.deriv_bound(live) != 0.0:
+        live += 1
     return _TermChain(
         p, lam, sign, a, None, 0.0, q - 1.0 - p * l,
-        {(j, 0, j, 0): pref * rows[l][j] for j in range(l + 1)
-         if rows[l][j] != 0.0 and a.deriv_bound(j) != 0.0},
+        [pref * rows[l][j] for j in range(live)],
     )
 
 
@@ -230,8 +263,9 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float):
     """
     p, lam, s = chain.p, chain.lam, chain.sign
     total = 0.0 + 0.0j
-    best_val, best_bound = total, chain.bound_beyond(X)
+    best_val, best_bound = total, math.inf
     phase = cmath.exp(1j * s * lam * X**p)
+    memo: dict = {}
     for _ in range(_FAR_STEP_CAP):
         b = chain.bound_beyond(X)
         if b < best_bound:
@@ -243,7 +277,7 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float):
         if not chain.order_budget_ok():
             break
         try:
-            term = -phase * chain.value_at(X) / (s * 1j * lam * p * X ** (p - 1.0))
+            term = -phase * chain.value_at(X, memo) / (s * 1j * lam * p * X ** (p - 1.0))
         except OverflowError:
             term = math.inf
         if not cmath.isfinite(term):
@@ -492,7 +526,7 @@ def _eps_single(p, q, sign, lam, a, chi, eps, cfg) -> complex:
         weight, 0.0, X0, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
     )
     tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(res.value), 1.0))
-    chain0 = _TermChain(p, lam, sign, a, chi, eps, q - 1.0, {(0, 0, 0, 0): 1.0 + 0.0j})
+    chain0 = _TermChain(p, lam, sign, a, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
 
     def f_far(x):
         ph = np.exp(1j * sign * lam * x**p)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oscphase import (
+    Amplitude,
     DomainError,
+    OrderError,
     UnknownAmplitude,
     builtin,
     default_cutoff,
@@ -15,8 +17,12 @@ from oscphase import (
     rational_regularizer,
     reflected,
 )
+from oscphase.amplitudes import derivative_shift
 
-
+# the envelope grid is [-60, 60]; the bounds must hold far beyond it
+FAR_XS = np.concatenate([
+    np.linspace(-60.0, 60.0, 2401), np.geomspace(60.0, 1e6, 400), -np.geomspace(60.0, 1e6, 400),
+])
 
 def test_builtin_values():
     one = builtin("constant_one")
@@ -69,6 +75,85 @@ def test_envelope_certification(name):
         env = a.deriv_bound(k) * (1.0 + xs**2) ** ((a.tau + a.delta * k) / 2.0)
         assert np.all(d <= env + 1e-300)
         assert a.seminorm_bound(k) >= a.deriv_bound(k)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["constant_one", "gaussian", "rational_decay(0.5)", "rational_decay(1)",
+     "rational_decay(2.5)", "polynomial(1,0,1)*gaussian"],
+)
+def test_envelope_holds_beyond_grid(name):
+    a = builtin(name)
+    d = np.abs(a.deriv_stack(FAR_XS, 12))
+    for k in range(13):
+        env = a.deriv_bound(k) * (1.0 + FAR_XS**2) ** ((a.tau + a.delta * k) / 2.0)
+        assert np.all(d[k] <= env + 1e-300), (name, k)
+
+
+def test_regularizer_envelope_holds_beyond_grid():
+    for chi in (default_regularizer(), rational_regularizer()):
+        for eps in (0.9, 0.05, 0.005):
+            d = np.abs(chi.scaled_stack(FAR_XS, eps, 12))
+            for u in range(13):
+                env = chi.uniform_bound(u) * (1.0 + FAR_XS**2) ** (-u / 2.0)
+                assert np.all(d[u] <= env + 1e-300), (chi.name, eps, u)
+
+
+def _counting(name):
+    """builtin(name) with a counter of its grid-sized stack evaluations."""
+    a = builtin(name)
+    calls = []
+
+    def stack(x, order):
+        if x.size > 1000:
+            calls.append(order)
+        return a.deriv_stack(x, order)
+
+    return Amplitude(a.name, a.tau, a.delta, a.max_order, stack), calls
+
+
+@pytest.mark.parametrize("name", ["gaussian", "rational_decay(1.3)", "polynomial(1,0,1)*gaussian"])
+def test_envelope_constants_independent_of_request_order(name):
+    filled = builtin(name)
+    for k in (7, 0, 30, 3, 60, 12, 1):
+        filled.deriv_bound(k)
+    for k in (0, 1, 2, 5, 8, 13, 21, 34, 47, 60):
+        assert filled.deriv_bound(k) == builtin(name).deriv_bound(k), k
+    for chi_factory in (default_regularizer, rational_regularizer):
+        chi = chi_factory()
+        for u in (9, 2, 40, 0):
+            chi.uniform_bound(u)
+        for u in (0, 1, 3, 8, 17, 29, 40):
+            assert chi.uniform_bound(u) == chi_factory().uniform_bound(u), u
+
+
+def test_reflected_and_shifted_read_parent_constants():
+    a, calls = _counting("rational_decay(1.3)")
+    for k in range(21):
+        a.deriv_bound(k)
+    n = len(calls)
+    ref = reflected(a)
+    shifted = derivative_shift(a, 3)
+    for k in range(18):
+        assert ref.deriv_bound(k) == a.deriv_bound(k)
+        assert shifted.deriv_bound(k) == a.deriv_bound(k + 3)
+    assert len(calls) == n  # no grid stack of their own
+    assert shifted.tau == a.tau + 3 * a.delta
+    # a fresh shift asks its parent, which fills its own cache
+    b, calls_b = _counting("gaussian")
+    assert derivative_shift(b, 2).deriv_bound(4) == builtin("gaussian").deriv_bound(6)
+    assert b.deriv_bound(6) == builtin("gaussian").deriv_bound(6) and len(calls_b) == 1
+
+
+def test_deriv_bound_past_max_order_raises():
+    a = builtin("gaussian")
+    a.deriv_bound(a.max_order)
+    with pytest.raises(OrderError):
+        a.deriv_bound(a.max_order + 1)
+    with pytest.raises(OrderError):
+        derivative_shift(a, 5).deriv_bound(a.max_order - 4)
+    with pytest.raises(OrderError):
+        reflected(a).deriv_bound(a.max_order + 1)
 
 
 def test_reflected_amplitude():

@@ -24,7 +24,10 @@ from oscphase import (
     rational_regularizer,
     rotated_contour_reference,
 )
-from oscphase.oscillatory import _sph_jn
+from oscphase.amplitudes import _gaussian_stack
+from oscphase.ibp import TailParts, coefficient_rows, product_deriv_stack
+from oscphase.oscillatory import _TermChain, _by_parts_from, _sph_jn
+from oscphase.quadrature import adaptive, phase_breakpoints
 
 ONE = builtin("constant_one")
 GAUSS = builtin("gaussian")
@@ -101,6 +104,76 @@ def test_epsilon_path_chi_independent():
 def test_epsilon_path_linear_phase():
     v = epsilon_regularized(1.0, 1.0, +1, 1.0, ONE, default_regularizer(), DEFAULT_EPS_LADDER)
     assert abs(v - 1j) <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["gaussian", "polynomial(1,0,1)*gaussian"])
+@pytest.mark.parametrize("q", [0.5, 1.5])
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_epsilon_path_nonconstant_amplitude(name, q, sign):
+    # int_0^inf e^(i s x^2) x^(q-1) x^(2m) e^(-x^2) dx = Gamma(q/2 + m) z^(-q/2-m) / 2
+    z = 1.0 - 1j * sign
+    expect = 0.5 * math.gamma(q / 2.0) * z ** (-q / 2.0)
+    if name.startswith("polynomial"):
+        expect += 0.5 * math.gamma(q / 2.0 + 1.0) * z ** (-q / 2.0 - 1.0)
+    v = epsilon_regularized(2.0, q, sign, 1.0, builtin(name), default_regularizer(),
+                            DEFAULT_EPS_LADDER)
+    assert abs(v - expect) <= 1e-9
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_far_tail_recursion_brackets_the_tail(sign):
+    # the boundary-term recursion over [X, inf) with a and chi both in play
+    p, q, lam, eps, X = 2.0, 1.5, 1.0, 0.05, 4.0
+    chi = default_regularizer()
+    chain = _TermChain(p, lam, sign, GAUSS, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
+    value, bound = _by_parts_from(chain, X, 1e-14)
+
+    def f(x):
+        return (np.exp(1j * sign * lam * x**p) * x ** (q - 1.0)
+                * GAUSS.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0])
+
+    # beyond x = 12 the integrand is below e^(-144)
+    direct = adaptive(f, phase_breakpoints(X, 12.0, p, lam), 1e-22, 1e-13, 10**6)
+    assert math.isfinite(bound) and bound < abs(direct.value) * 1e3
+    assert abs(value - direct.value) <= bound + direct.est_error
+
+
+def test_term_chain_collapses_the_lattice():
+    # steps give the ibp coefficient rows; values the jet product a * chi_eps;
+    # the bound the term-by-term envelope sum over (k, j), here with
+    # delta = -1/2, where the envelope exponent moves with j
+    p, q, lam, sign, eps, x = 2.0, 1.5, 1.3, -1, 0.3, 5.0
+    f = sign * 1j / (lam * p)
+    chain = _TermChain(p, lam, sign, GAUSS, None, 0.0, q - 1.0, [1.0 + 0.0j])
+    for _ in range(5):
+        chain = chain.step()
+    rows = coefficient_rows(p, q, 5)
+    assert chain.c == pytest.approx([f**5 * c for c in rows[5]], rel=1e-13)
+
+    chi = default_regularizer()
+    amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack)
+    chain = _TermChain(p, lam, sign, amp, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
+    memo: dict = {}
+    for n in range(6):
+        top = len(chain.c) - 1
+        g = product_deriv_stack(TailParts(q, amp, None, chi, eps), np.array([x]), top)[:, 0]
+        expect = sum(c * x ** (q - 1.0 - p * n + k) * g[k] for k, c in enumerate(chain.c))
+        got = chain.value_at(x, memo)
+        assert got == chain.value_at(x, {})  # stacks kept across steps change nothing
+        assert got == pytest.approx(expect, rel=1e-13, abs=1e-300)
+        brute = 0.0
+        for k, c in enumerate(chain.c):
+            for j in range(k + 1):
+                t_env = amp.tau + amp.delta * j
+                e_net = q - 1.0 - p * n + k + t_env - (k - j)
+                if e_net >= -1.0:
+                    brute = math.inf
+                    break
+                brute += (abs(math.comb(k, j) * c) * amp.deriv_bound(j) * chi.uniform_bound(k - j)
+                          * 2.0 ** (max(t_env, 0.0) / 2.0) * x ** (e_net + 1.0) / (-e_net - 1.0))
+        assert chain.bound_beyond(x) == pytest.approx(brute, rel=1e-13)
+        chain = chain.step()
+    assert math.isfinite(brute)
 
 
 def test_epsilon_ladder_validation():
