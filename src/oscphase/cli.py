@@ -9,6 +9,7 @@ Exit codes: 0 ok, 1 verification failure, 2 usage, 3 domain/class errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .amplitudes import builtin, default_regularizer, rational_regularizer
@@ -138,7 +139,9 @@ def _add_quad_flags(sub) -> None:
     sub.add_argument("--max-nodes", type=int, dest="max_nodes")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="oscphase",
         description="Generalized Fresnel integrals and degenerate stationary-phase expansions",
@@ -164,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     oi.add_argument("--lambda", type=float, dest="lam", default=1.0)
     oi.add_argument("--amplitude", default="constant_one")
     oi.add_argument("--method", choices=("split", "eps", "contour"), default="split",
-                    help="split: cutoff+IBP quadrature; eps: regularized limit; contour: rotated-ray reference")
+                    help="split: Filon on [0, X] plus boundary-term recursion from X; eps: regularized limit; contour: rotated-ray reference")
     oi.add_argument("--eps-ladder", dest="eps_ladder",
                     help="comma-separated decreasing epsilons for --method eps")
     oi.add_argument("--chi", type=_regularizer, default=None,
@@ -371,9 +374,8 @@ def _cmd_sweep(args, stream) -> int:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else _USAGE_EXIT
     stream = sys.stdout

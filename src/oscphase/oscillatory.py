@@ -1,12 +1,13 @@
-"""Numerical oscillatory integrals: cutoff split plus transformed-tail method.
+"""Numerical oscillatory integrals: compact Filon part plus boundary-term tail.
 
-The half-line integral of e^(sign i lam x^p) x^(q-1) a(x) splits as a compact
-part (a times the plateau cutoff phi, adaptive panels) plus a tail whose
-integrand has been run through the adjoint operator enough times to be
-absolutely convergent. Beyond the cutoff support the tail is finished either
-by an exact repeated integration-by-parts recursion from a finite abscissa
-(boundary terms plus a certified envelope remainder) or, failing that, by
-extending the quadrature range until the envelope certifies truncation.
+The half-line Os-integral of e^(sign i lam x^p) x^(q-1) a(x) splits at an
+abscissa X into a compact part over [0, X] (Filon quadrature after t = x^p,
+exact in the oscillation) and a tail over [X, inf) finished by an exact
+repeated integration-by-parts recursion: the adjoint operator L* applied
+until the boundary terms plus a certified envelope remainder meet the
+tolerance, or, failing that, one more quadrature chunk and a retry from its
+end. Large exponents q are first peeled off by the ladder identity when that
+predicts less roundoff than the direct split.
 
 The epsilon-regularization path and the rotated-contour real-integral path
 are independent implementations used to cross-validate the closed forms.
@@ -21,14 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .amplitudes import (
-    Amplitude,
-    CutoffSpec,
-    RegularizerSpec,
-    default_cutoff,
-    derivative_shift,
-    reflected,
-)
+from .amplitudes import Amplitude, RegularizerSpec, derivative_shift, reflected
 from .errors import (
     BudgetError,
     ClassError,
@@ -36,12 +30,7 @@ from .errors import (
     DomainError,
     OrderError,
 )
-from .ibp import (
-    TailParts,
-    ibp_coefficients,
-    ibp_depth,
-    transformed_integrand,
-)
+from .ibp import ibp_coefficients, ibp_depth
 from .quadrature import (
     QuadResult,
     adaptive,
@@ -51,7 +40,6 @@ from .quadrature import (
 )
 
 _EPS = 2.2e-16
-_CUTOFF_SUP_ORDERS = 16
 _CHUNK_MAX_PHASE = 2.0e4 * math.pi  # per quadrature extension chunk
 _FAR_STEP_CAP = 70
 
@@ -60,11 +48,11 @@ _FAR_STEP_CAP = 70
 class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    cutoff_radius: float = 2.0
-    ibp_depth_override: Optional[int] = None
+    cutoff_radius: float = 2.0  # smallest split abscissa X of the half line
+    ibp_depth_override: Optional[int] = None  # least boundary-term steps before certifying
     tail_truncation_tol: float = 1e-14
     max_nodes: int = 2_000_000
-    filon_period_threshold: float = 1.0e3
+    filon_period_threshold: float = 0.0  # compact part is Gauss-Legendre up to these periods
 
 
 @dataclass(frozen=True)
@@ -93,36 +81,6 @@ def _ensure_finite(z: complex, what: str) -> complex:
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise OverflowError(f"{what} overflowed double precision")
     return z
-
-
-# ----------------------------------------------------------------------
-# envelope bounds (all crude upper bounds; used for truncation and skips)
-# ----------------------------------------------------------------------
-
-
-def _transition_bound(
-    rows, l: int, p: float, q: float, lam: float, a: Amplitude, cutoff: CutoffSpec,
-) -> float:
-    """Upper bound for the transformed-tail integral magnitude over [1, r]."""
-    r = cutoff.r
-    pref = (lam * p) ** (-l)
-    total = 0.0
-    for j in range(l + 1):
-        c = abs(rows[l][j])
-        if c == 0.0:
-            continue
-        pj = 0.0
-        for t in range(j + 1):
-            ab = a.deriv_bound(j - t)
-            if ab == 0.0:
-                continue
-            t_env = a.tau + a.delta * (j - t)
-            env = (1.0 + r * r) ** (t_env / 2.0) if t_env > 0 else 1.0
-            pj += math.comb(j, t) * cutoff.psi_deriv_sup(t) * ab * env
-        e = q - 1.0 - p * l + j
-        xpow = r ** max(e, 0.0)
-        total += c * xpow * pj
-    return pref * total * (r - 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -243,31 +201,20 @@ def _grown(memo: dict, key: str, order: int, cap: int, stack):
     return rows
 
 
-def _tail_chain(rows, l: int, p: float, q: float, sign: int, lam: float, a: Amplitude):
-    """The depth-l transformed tail integrand (no cutoff) as a _TermChain."""
-    pref = (sign * 1j / (lam * p)) ** l
-    live = 0
-    while live <= l and a.deriv_bound(live) != 0.0:
-        live += 1
-    return _TermChain(
-        p, lam, sign, a, None, 0.0, q - 1.0 - p * l,
-        [pref * rows[l][j] for j in range(live)],
-    )
-
-
-def _by_parts_from(chain: _TermChain, X: float, tol: float):
+def _by_parts_from(chain: _TermChain, X: float, tol: float, min_steps: int = 0):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
     Returns (value, remainder_bound): value carries the accumulated boundary
-    terms at the step whose envelope bound was smallest.
+    terms at the step whose envelope bound was smallest, among the steps from
+    min_steps on.
     """
     p, lam, s = chain.p, chain.lam, chain.sign
     total = 0.0 + 0.0j
     best_val, best_bound = total, math.inf
     phase = cmath.exp(1j * s * lam * X**p)
     memo: dict = {}
-    for _ in range(_FAR_STEP_CAP):
-        b = chain.bound_beyond(X)
+    for n in range(_FAR_STEP_CAP):
+        b = chain.bound_beyond(X) if n >= min_steps else math.inf
         if b < best_bound:
             best_val, best_bound = total, b
         if b <= tol:
@@ -288,7 +235,8 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float):
     return best_val, best_bound
 
 
-def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what):
+def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what,
+                 min_steps=0):
     """Add the integral of f = e^(phase) * chain over [X, inf) to (value, err, nodes).
 
     Tries the boundary-term recursion from X; whenever it cannot certify the
@@ -298,7 +246,7 @@ def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, wha
     """
     p, lam = chain.p, chain.lam
     for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain, X, tol)
+        far_val, far_bound = _by_parts_from(chain, X, tol, min_steps)
         if far_bound <= tol:
             return value + far_val, err + far_bound, nodes, X
         x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
@@ -320,141 +268,97 @@ def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, wha
 # ----------------------------------------------------------------------
 
 
-def _compact_part(p, q, sign, lam, a, cutoff, cfg, abs_tol, rel_tol) -> QuadResult:
-    r = cutoff.r
-    periods = lam * r**p / (2.0 * math.pi)
-    if periods > cfg.filon_period_threshold:
-        return _filon_compact(p, q, sign, lam, a, cutoff, cfg, abs_tol, rel_tol)
-
-    def weight(x):
-        return a.deriv_stack(x, 0)[0] * cutoff.phi_stack(x, 0)[0]
-
-    return osc_power_integral(
-        weight, 0.0, r, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes,
-        extra_breaks=(1.0, r),
-    )
-
-
-def _tail_part(p, q, sign, lam, a, cutoff, cfg, scale_hint, abs_tol, rel_tol):
-    """Tail integral over [1, inf); returns (value, err, nodes, depth, X)."""
-    dp = ibp_depth(p, q, a.tau, a.delta)
-    if dp.l_pq > min(a.max_order, _CUTOFF_SUP_ORDERS):
-        raise OrderError(
-            f"integrability depth l_pq={dp.l_pq} exceeds the available derivative "
-            f"orders (amplitude {a.max_order}, cutoff {_CUTOFF_SUP_ORDERS})"
+def _ladder_wins(p, q, lam, a, X, l) -> bool:
+    """Whether peeling depth l off by the ladder predicts less roundoff than
+    the direct split, whose compact part carries about A_0 X^q / q."""
+    row = ibp_coefficients(p, q, l).rows[l]
+    weights = [abs(c) * a.deriv_bound(j) for j, c in enumerate(row)]
+    try:
+        ladder = (lam * p) ** (-l) * sum(
+            w * X ** (j - p * l) / (q - p * l + j) for j, w in enumerate(weights) if w
         )
-    l_cap = min(8, a.max_order)
-    if cfg.ibp_depth_override is not None:
-        l = int(cfg.ibp_depth_override)
-        if l < dp.l_pq:
-            raise DomainError(
-                f"ibp_depth_override={l} below the integrability depth {dp.l_pq}"
-            )
-        candidates = [l]
-    else:
-        candidates = list(range(dp.l_pq, max(dp.l_pq, l_cap) + 1))
-
-    tables = {l: ibp_coefficients(p, q, l) for l in candidates}
-    psi_sup = lambda l: max(cutoff.psi_deriv_sup(t) for t in range(l + 1))
-    max_c = lambda l: max(abs(c) for c in tables[l].rows[l]) or 1.0
-
-    # conditioning proxy: roundoff is eps * (integrand magnitude on [1, r])
-    def cond(l):
-        return (lam * p) ** (-l) * max_c(l) * psi_sup(l) * max(a.seminorm_bound(l), 1e-30)
-
-    tol_skip = 0.1 * max(abs_tol, rel_tol * scale_hint)
-    bounds = {
-        l: _transition_bound(tables[l].rows, l, p, q, lam, a, cutoff)
-        + _tail_chain(tables[l].rows, l, p, q, sign, lam, a).bound_beyond(cutoff.r)
-        for l in candidates
-    }
-    l_best = min(candidates, key=lambda l: bounds[l])
-    if bounds[l_best] < tol_skip:
-        return 0.0 + 0.0j, bounds[l_best], 0, l_best, cutoff.r
-
-    l = min(candidates, key=cond)
-    table = tables[l]
-    rows = table.rows
-    nodes = 0
-    err = 0.0
-
-    # transition zone [1, r]: psi derivatives in play
-    parts_mid = TailParts(q, a, cutoff, None, 0.0)
-
-    def f_mid(x):
-        return np.exp(1j * sign * lam * x**p) * transformed_integrand(
-            table, lam, sign, parts_mid, x
-        )
-
-    res_mid = adaptive(
-        f_mid, phase_breakpoints(1.0, cutoff.r, p, lam), abs_tol, rel_tol, cfg.max_nodes
-    )
-    value = res_mid.value
-    err += res_mid.est_error + _EPS * cond(l) * (cutoff.r - 1.0)
-    nodes += res_mid.nodes_used
-
-    # pure zone [r, inf): no cutoff derivatives left
-    tol_far = max(cfg.tail_truncation_tol, 1e-16 * scale_hint)
-    parts_pure = TailParts(q, a, None, None, 0.0)
-
-    def f_pure(x):
-        return np.exp(1j * sign * lam * x**p) * transformed_integrand(
-            table, lam, sign, parts_pure, x
-        )
-
-    value, err, nodes, X = _finish_tail(
-        _tail_chain(rows, l, p, q, sign, lam, a), f_pure, cutoff.r, value, err, nodes,
-        tol_far, abs_tol, rel_tol, cfg, "tail truncation",
-    )
-    return value, err, nodes, l, X
+    except OverflowError:
+        return False
+    return ladder < a.deriv_bound(0) / q
 
 
 def os_integral_halfline(
     p: float, q: float, sign: int, lam: float, a: Amplitude,
     cfg: QuadratureConfig | None = None,
-    _reduce_depth: int = 3,
+    _ladder: bool = True,
 ) -> QuadratureReport:
-    """Os-integral of e^(sign i lam x^p) x^(q-1) a(x) over (0, inf)."""
+    """Os-integral of e^(sign i lam x^p) x^(q-1) a(x) over (0, inf).
+
+    Compact part over [0, X] plus the boundary-term recursion from X, with
+    X = max(cutoff_radius, (40/(lam p))^(1/p)): there lam p X^p >= 40, the
+    factor a boundary-term step gains.
+    """
     cfg = cfg or QuadratureConfig()
     _check_common(p, lam, sign, a)
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
     dp = ibp_depth(p, q, a.tau, a.delta)
+    try:
+        X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
+    except OverflowError:
+        raise OverflowError("split abscissa overflowed double precision") from None
+    # peel depth; one less when the reduced exponent would be tiny (Filon's corner)
+    l = dp.l0 - 1 if q - p * dp.l0 < 0.25 * p else dp.l0
     if (
-        dp.l_pq > 8
-        and dp.l0 >= 1
-        and _reduce_depth > 0
+        l >= 1
+        and _ladder
         and cfg.ibp_depth_override is None
-        and a.max_order >= dp.l0 + 8
+        and a.max_order >= l + 8
+        and _ladder_wins(p, q, lam, a, X, l)
     ):
-        # exponent too large for a well-conditioned transformed tail: peel it
-        # off with the no-cutoff ladder, q -> q - p l0 against a^(j)
-        return _reduced_halfline(p, q, sign, lam, a, cfg, dp.l0, _reduce_depth - 1)
-    cutoff = default_cutoff(cfg.cutoff_radius)
+        return _reduced_halfline(p, q, sign, lam, a, cfg, l)
+    depth = dp.l_pq if cfg.ibp_depth_override is None else int(cfg.ibp_depth_override)
+    if depth < dp.l_pq:
+        raise DomainError(f"ibp_depth_override={depth} below the integrability depth {dp.l_pq}")
+    if depth > a.max_order:
+        raise OrderError(
+            f"integrability depth {depth} exceeds the amplitude's derivative orders "
+            f"({a.max_order})"
+        )
     abs_tol = 0.3 * cfg.abs_tol
     rel_tol = 0.3 * cfg.rel_tol
 
-    compact = _compact_part(p, q, sign, lam, a, cutoff, cfg, abs_tol, rel_tol)
-    scale = max(abs(compact.value), cfg.abs_tol)
-    tail_val, tail_err, tail_nodes, depth, X = _tail_part(
-        p, q, sign, lam, a, cutoff, cfg, scale, abs_tol, rel_tol
+    if lam * X**p / (2.0 * math.pi) > cfg.filon_period_threshold:
+        compact = _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol)
+    else:
+        compact = osc_power_integral(
+            lambda x: a.deriv_stack(x, 0)[0], 0.0, X, p, q, lam, sign, abs_tol, rel_tol,
+            cfg.max_nodes,
+        )
+    tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(compact.value), cfg.abs_tol))
+
+    def f(x):
+        return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * a.deriv_stack(x, 0)[0]
+
+    value, err, nodes, X = _finish_tail(
+        _TermChain(p, lam, sign, a, None, 0.0, q - 1.0, [1.0 + 0.0j], ja=0), f, X,
+        compact.value, compact.est_error, compact.nodes_used, tol_far, abs_tol, rel_tol,
+        cfg, "tail truncation", depth,
     )
-    value = _ensure_finite(compact.value + tail_val, "half-line integral")
-    est = compact.est_error + tail_err + 5.0 * _EPS * abs(value)
+    value = _ensure_finite(value, "half-line integral")
     return QuadratureReport(
         value=value,
-        est_error=est,
-        nodes_used=compact.nodes_used + tail_nodes,
+        est_error=err + 5.0 * _EPS * abs(value),
+        nodes_used=nodes,
         ibp_depth_used=depth,
-        tail_cut=max(X, cutoff.r),
+        tail_cut=X,
     )
 
 
 def _reduced_halfline(
     p: float, q: float, sign: int, lam: float, a: Amplitude,
-    cfg: QuadratureConfig, l0: int, budget: int,
+    cfg: QuadratureConfig, l0: int,
 ) -> QuadratureReport:
-    """Ladder identity: I(p,q)[a] = (s i/(lam p))^l0 sum_j C[l0,j] I(p, q-p l0 + j)[a^(j)]."""
+    """Ladder identity: I(p,q)[a] = (s i/(lam p))^l0 sum_j C[l0,j] I(p, q-p l0 + j)[a^(j)].
+
+    The sub-integrals take the direct split: for p <= 1 a nested ladder would
+    not lower the largest exponent, only differentiate a further.
+    """
     rows = ibp_coefficients(p, q, l0).rows
     pref = (sign * 1j / (lam * p)) ** l0
     value = 0.0 + 0.0j
@@ -462,13 +366,12 @@ def _reduced_halfline(
     nodes = 0
     depth = 0
     cut = cfg.cutoff_radius
-    for j in range(l0 + 1):
-        c = rows[l0][j]
-        if c == 0.0:
+    for j, c in enumerate(rows[l0]):
+        if c == 0.0 or a.deriv_bound(j) == 0.0:
             continue
         sub = os_integral_halfline(
             p, q - p * l0 + j, sign, lam, derivative_shift(a, j), cfg,
-            _reduce_depth=budget,
+            _ladder=False,
         )
         value += c * sub.value
         est += abs(c) * abs(pref) * sub.est_error
@@ -634,7 +537,7 @@ def rotated_contour_reference(p: float, q: float, sign: int) -> complex:
 
 
 # ----------------------------------------------------------------------
-# Filon-type compact part for long phase spans
+# Filon compact part: exact in the oscillation, at every phase span
 # ----------------------------------------------------------------------
 
 _FILON_DEG = 24
@@ -701,34 +604,39 @@ def _filon_panels(h, lo, hi, s_lam):
     return vals, errs
 
 
-def _filon_compact(p, q, sign, lam, a, cutoff, cfg, abs_tol, rel_tol) -> QuadResult:
-    """Compact part after t = x^p: finite Fourier integral with algebraic corner."""
-    r = cutoff.r
+def _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol) -> QuadResult:
+    """Integral over [0, X] after t = x^p: finite Fourier integral with algebraic corner."""
     s0 = q / p
-    T = r**p
-    amp_scale = max(abs(float(a.deriv(0, 0.0))), 1.0)
-    t_min = (0.02 * max(abs_tol, 1e-15) * s0 / amp_scale) ** (1.0 / s0)
-    if t_min < 1e-280:
-        raise BudgetError("corner exponent too small for the Filon path")
+    T = X**p
+    # corner [0, t_min]: h ~ a(0) t^(s0-1) / p, integrated exactly; what is left
+    # is bounded by |a(x) - a(0)| <= A_1 x (x <= 1) and |e^(i lam t) - 1| <= lam t
+    a0 = float(a.deriv(0, 0.0))
+    a1 = a.deriv_bound(1) * 2.0 ** (max(a.tau + a.delta, 0.0) / 2.0)
+    budget = 0.01 * max(abs_tol, 1e-15) * p
+    t_min = min(1.0, 0.5 * T)
+    for coef, e in ((a1, s0 + 1.0 / p), (abs(a0) * lam, s0 + 1.0)):
+        if coef > 0.0:
+            t_min = min(t_min, (budget * e / coef) ** (1.0 / e))
+    corner = a0 * t_min**s0 / (s0 * p)
+    corner_err = (a1 * t_min ** (s0 + 1.0 / p) / (s0 + 1.0 / p)
+                  + abs(a0) * lam * t_min ** (s0 + 1.0) / (s0 + 1.0)) / p
 
     def h(t):
         x = t ** (1.0 / p)
-        return (
-            t ** (s0 - 1.0) * a.deriv_stack(x, 0)[0] * cutoff.phi_stack(x, 0)[0] / p
-        )
+        return t ** (s0 - 1.0) * a.deriv_stack(x, 0)[0] / p
 
     # geometric panels resolve the algebraic corner; growth ratio keeps the
     # Legendre projection of t^(s0-1) at machine precision per panel
     pts = [t_min]
     while pts[-1] < T:
         pts.append(min(T, pts[-1] * 1.6))
-    # a panel edge where the cutoff leaves its plateau (x = t = 1), as on the
-    # GL path: a panel across it underestimates its Legendre tail
-    pts = np.unique(np.append(pts, 1.0))
-    lo, hi = pts[:-1], pts[1:]
-    corner_mass = t_min**s0 / s0 * amp_scale  # unresolved corner
-    vals, errs = _filon_panels(h, lo, hi, sign * lam)
+    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
     nodes = lo.size * _FILON_DEG
+    if nodes > cfg.max_nodes:
+        raise BudgetError(
+            f"initial panelization needs {nodes} nodes, budget is {cfg.max_nodes}"
+        )
+    vals, errs = _filon_panels(h, lo, hi, sign * lam)
     for _ in range(15):
         if np.sum(errs) < max(abs_tol, rel_tol * abs(np.sum(vals))):
             break
@@ -751,4 +659,5 @@ def _filon_compact(p, q, sign, lam, a, cutoff, cfg, abs_tol, rel_tol) -> QuadRes
     # the phase argument lam*t is rounded at eps relative: reported, but left
     # out of the stop test because refinement cannot reduce it
     roundoff = _EPS * lam * float(np.sum(0.5 * (lo + hi) * np.abs(vals)))
-    return QuadResult(complex(np.sum(vals)), corner_mass + float(np.sum(errs)) + roundoff, nodes)
+    return QuadResult(corner + complex(np.sum(vals)), corner_err + float(np.sum(errs)) + roundoff,
+                      nodes)

@@ -174,7 +174,6 @@ def osc_power_integral(
     abs_tol: float,
     rel_tol: float,
     max_nodes: int,
-    extra_breaks: tuple = (),
 ) -> QuadResult:
     """integral of e^(sign i lam x^p) x^(q-1) weight(x) over [x_lo, x_hi].
 
@@ -198,8 +197,6 @@ def osc_power_integral(
             )
 
         breaks = phase_breakpoints(x_lo, x_hi, p, lam)
-        breaks = np.unique(np.concatenate([breaks, np.asarray(extra_breaks, dtype=float)]))
-        breaks = breaks[(breaks >= x_lo) & (breaks <= x_hi)]
         u_breaks = breaks**q
         # flat-composition corner: modest grading suffices
         first = u_breaks[1] if u_breaks.size > 1 else x_hi**q
@@ -210,8 +207,6 @@ def osc_power_integral(
         return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * weight(x)
 
     breaks = phase_breakpoints(max(x_lo, 0.0), x_hi, p, lam)
-    breaks = np.unique(np.concatenate([breaks, np.asarray(extra_breaks, dtype=float)]))
-    breaks = breaks[(breaks >= x_lo) & (breaks <= x_hi)]
     if x_lo == 0.0:
         # x^(q-1) with q >= 1 is bounded but can have unbounded higher
         # derivatives at 0; pre-grade the corner so refinement stays local

@@ -267,7 +267,7 @@ def check_stationary_reduction() -> CheckResult:
 
 @_timed(180.0)
 def check_structural_invariants() -> CheckResult:
-    """Criterion 11: conjugate symmetry, odd-term vanishing, cutoff/chi
+    """Criterion 11: conjugate symmetry, odd-term vanishing, split-abscissa/chi
     independence, and the lambda-scaling law."""
     out = CheckResult("invariants", True)
     one = builtin("constant_one")
@@ -285,8 +285,10 @@ def check_structural_invariants() -> CheckResult:
     out.row(worst <= 1e-14, f"c~ odd-term vanishing (even m): max {worst:.2e} <= 1e-14")
 
     for p, q, lam, a in ((2.0, 1.0, 1.0, one), (0.7, 2.7, 1.0, one), (2.0, 1.0, 4.0, gauss)):
-        r_small = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=1.5))
-        r_big = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=3.0))
+        # split abscissae x0 and 2 x0, with x0 the smallest the half line takes here
+        x0 = max(1.5, (40.0 / (lam * p)) ** (1.0 / p))
+        r_small = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=x0))
+        r_big = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=2.0 * x0))
         d = abs(r_small.value - r_big.value)
         budget = 10.0 * (r_small.est_error + r_big.est_error)
         out.row(d <= budget, f"cutoff independence p={p} q={q}: {d:.2e} <= {budget:.2e}")

@@ -128,6 +128,18 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
 
 
+def test_reused_parser_keeps_output(capsys):
+    # the parser is built once per process; a call must not leave state behind
+    outs = []
+    for argv in (["fresnel", "--q", "1"], ["oscint", "--halfline", "--p", "2", "--q", "0.5"],
+                 ["fresnel", "--q", "1"], ["oscint", "--halfline", "--p", "2", "--q", "0.5"]):
+        code = main(argv)
+        outs.append((code, *capsys.readouterr()))
+    assert outs[0] == outs[2] and outs[1] == outs[3]
+    assert outs[0][0] == 2 and outs[0][2].startswith("usage: oscphase fresnel")
+    assert outs[1][0] == 0
+
+
 def test_domain_error_exit_code(capsys):
     code, _ = run(capsys, "fresnel", "--p", "-2", "--q", "1")
     assert code == 3
@@ -148,6 +160,15 @@ def test_overflow_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_split_abscissa_overflow_exit_code(capsys):
+    # at p = 0.1 and lambda = 1e-30 the split abscissa (40/(lambda p))^(1/p)
+    # is beyond double range
+    code = main(["oscint", "--halfline", "--p", "0.1", "--q", "0.5", "--lambda", "1e-30"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: split abscissa overflowed double precision\n"
 
 
 def test_unknown_amplitude_exit_code(capsys):

@@ -28,6 +28,7 @@ from oscphase.amplitudes import _gaussian_stack
 from oscphase.ibp import TailParts, coefficient_rows, product_deriv_stack
 from oscphase.oscillatory import _TermChain, _by_parts_from, _sph_jn
 from oscphase.quadrature import adaptive, phase_breakpoints
+from oscphase.verification import GRID_P
 
 ONE = builtin("constant_one")
 GAUSS = builtin("gaussian")
@@ -204,6 +205,22 @@ def test_cutoff_radius_independence():
     assert abs(a.value - b.value) <= 10.0 * (a.est_error + b.est_error) + 1e-13
 
 
+@pytest.mark.parametrize(
+    "p,q,lam,name",
+    [(2.0, 1.0, 1.0, "constant_one"), (0.7, 2.7, 1.0, "constant_one"),
+     (0.7, 0.5, 1e3, "constant_one"), (3.0, 1.0, 10.0, "gaussian")],
+)
+def test_split_abscissa_independence(p, q, lam, name):
+    # the smallest split abscissa, then 2x and 5x it: the compact part and the
+    # tail trade mass, and the sum stays within both estimates
+    x0 = max(2.0, (40.0 / (lam * p)) ** (1.0 / p))
+    reps = [os_integral_halfline(p, q, +1, lam, builtin(name), QuadratureConfig(cutoff_radius=r))
+            for r in (x0, 2.0 * x0, 5.0 * x0)]
+    assert reps[2].tail_cut >= 5.0 * x0
+    for rep in reps[1:]:
+        assert abs(rep.value - reps[0].value) <= rep.est_error + reps[0].est_error
+
+
 def test_depth_override_respected():
     rep = os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, QuadratureConfig(ibp_depth_override=3))
     assert rep.ibp_depth_used == 3
@@ -350,3 +367,64 @@ def test_forced_filon_estimate_is_honest(p):
             err = abs(rep.value - expect)
             assert err <= rep.est_error, (q, lam)
             assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(expect)), (q, lam)
+
+
+def _assert_honest_within_tol(rep, expect, cfg, label):
+    err = abs(rep.value - expect)
+    assert err <= rep.est_error, label
+    assert err <= max(cfg.abs_tol, cfg.rel_tol * abs(expect)), label
+
+
+@pytest.mark.parametrize("p", GRID_P)
+def test_halfline_estimate_honest_over_grid(p):
+    # q = 1.01 is where an estimate 6% low used to show; lambda reaches 1e6
+    cfg = QuadratureConfig()
+    for q in (0.3, 0.5, 1.0, 1.01, p + 0.5):
+        for k in (0.0, 1.5, 3.0, 4.5, 6.0):
+            lam = 10.0**k
+            rep = os_integral_halfline(p, q, +1, lam, ONE, cfg)
+            expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+            _assert_honest_within_tol(rep, expect, cfg, (q, lam))
+
+
+@pytest.mark.parametrize("q", [0.5, 1.01, 7.0])
+def test_gaussian_halfline_estimate_honest(q):
+    # int_0^inf e^(i lam x^2) x^(q-1) e^(-x^2) dx = Gamma(q/2) (1 - i lam)^(-q/2) / 2
+    cfg = QuadratureConfig()
+    for lam in (0.01, 1.0, 30.0):
+        rep = os_integral_halfline(2.0, q, +1, lam, GAUSS, cfg)
+        expect = 0.5 * math.gamma(q / 2.0) * (1.0 - 1j * lam) ** (-q / 2.0)
+        _assert_honest_within_tol(rep, expect, cfg, lam)
+
+
+@pytest.mark.parametrize(
+    "p,q", [(1.0, 6.0), (0.7, 5.0), (2.0, 7.0), (1.0, 7.5), (3.0, 20.0), (0.5, 2.0),
+            (0.3, 1.0), (1.0, 1.01)],
+)
+def test_ladder_and_direct_split_edges(p, q):
+    # large q/p: the ladder must win where the direct compact part would cancel
+    # catastrophically; p = 1, q = 1.01 must not peel down to q' = 0.01
+    cfg = QuadratureConfig()
+    for lam in (0.01, 1.0, 1e3):
+        rep = os_integral_halfline(p, q, +1, lam, ONE, cfg)
+        expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+        _assert_honest_within_tol(rep, expect, cfg, lam)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_small_exponent_ratio_corner(p):
+    # q/p <= 0.05: t^(q/p - 1) puts most of the mass near t = 0, where the
+    # Filon corner is integrated with its leading term instead of dropped
+    cfg = QuadratureConfig()
+    for lam in (0.01, 1.0, 1e4):
+        rep = os_integral_halfline(p, 0.1, +1, lam, ONE, cfg)
+        expect = lam ** (-0.1 / p) * generalized_fresnel(p, 0.1, +1).value
+        _assert_honest_within_tol(rep, expect, cfg, lam)
+
+
+def test_ladder_sub_integrals_stay_within_budget():
+    cfg = QuadratureConfig()
+    amp = builtin("polynomial(1,0,1)*gaussian")
+    rep = os_integral_halfline(1.0, 6.0, +1, 1e3, amp, cfg)
+    assert rep.nodes_used <= cfg.max_nodes
+    assert math.isfinite(rep.est_error)
