@@ -297,6 +297,8 @@ def os_integral_halfline(
     _check_common(p, lam, sign, a)
     if q <= 0:
         raise DomainError(f"q must be positive, got {q}")
+    if not 0.0 < cfg.cutoff_radius < math.inf:
+        raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
     dp = ibp_depth(p, q, a.tau, a.delta)
     try:
         X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
@@ -617,6 +619,9 @@ def _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol) -> QuadResult:
     for coef, e in ((a1, s0 + 1.0 / p), (abs(a0) * lam, s0 + 1.0)):
         if coef > 0.0:
             t_min = min(t_min, (budget * e / coef) ** (1.0 / e))
+    if t_min < 1e-280:
+        # at large p the corner exponent is tiny and t_min underflows
+        raise BudgetError("corner exponent too small for the Filon path")
     corner = a0 * t_min**s0 / (s0 * p)
     corner_err = (a1 * t_min ** (s0 + 1.0 / p) / (s0 + 1.0 / p)
                   + abs(a0) * lam * t_min ** (s0 + 1.0) / (s0 + 1.0)) / p

@@ -171,6 +171,23 @@ def test_split_abscissa_overflow_exit_code(capsys):
     assert err == "error: split abscissa overflowed double precision\n"
 
 
+def test_corner_underflow_exit_code(capsys):
+    # at p = 40, q = 0.5 with a non-constant amplitude the Filon corner
+    # t_min = (budget e / A_1)^(1/e), e = q/p + 1/p, is below 1e-280
+    code = main(["oscint", "--halfline", "--p", "40", "--q", "0.5", "--amplitude", "gaussian"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "error: corner exponent too small for the Filon path\n"
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf", "-1", "0"])
+def test_bad_cutoff_radius_exit_code(capsys, radius):
+    code = main(["oscint", "--halfline", "--p", "2", "--q", "1", "--cutoff-radius", radius])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("error: cutoff radius must be finite and positive")
+
+
 def test_unknown_amplitude_exit_code(capsys):
     code, _ = run(capsys, "oscint", "--halfline", "--p", "2", "--amplitude", "bogus")
     assert code == 3
