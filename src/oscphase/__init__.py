@@ -2,10 +2,8 @@
 
 from .amplitudes import (
     Amplitude,
-    CutoffSpec,
     RegularizerSpec,
     builtin,
-    default_cutoff,
     default_regularizer,
     rational_regularizer,
     reflected,
@@ -43,8 +41,6 @@ from .fresnel import (
 from .ibp import (
     DepthParams,
     IbpTable,
-    TailParts,
-    apply_ibp,
     ibp_coefficients,
     ibp_depth,
 )
@@ -61,8 +57,8 @@ from .oscillatory import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Amplitude", "CutoffSpec", "RegularizerSpec", "builtin", "default_cutoff",
-    "default_regularizer", "rational_regularizer", "reflected",
+    "Amplitude", "RegularizerSpec", "builtin", "default_regularizer",
+    "rational_regularizer", "reflected",
     "gamma", "gamma_residue",
     "OscPhaseError", "PoleError", "DomainError", "ClassError", "OrderError",
     "BudgetError", "ConvergenceError", "NoiseFloorError", "UnknownAmplitude",
@@ -70,8 +66,7 @@ __all__ = [
     "expand_halfline", "remainder_slope", "stationary_phase_quadratic",
     "FresnelValue", "PoleReport", "c_tilde", "generalized_beta",
     "generalized_fresnel", "generalized_fresnel_continued", "signed_fresnel_m",
-    "DepthParams", "IbpTable", "TailParts", "apply_ibp", "ibp_coefficients",
-    "ibp_depth",
+    "DepthParams", "IbpTable", "ibp_coefficients", "ibp_depth",
     "DEFAULT_EPS_LADDER", "QuadratureConfig", "QuadratureReport",
     "epsilon_regularized", "os_integral_fullline", "os_integral_halfline",
     "rotated_contour_reference",

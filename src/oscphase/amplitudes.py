@@ -1,4 +1,4 @@
-"""Amplitude class with certified growth envelopes, cutoffs and regularizers.
+"""Amplitude class with certified growth envelopes; regularizers.
 
 An amplitude a lives in the class with parameters (tau, delta) when
 |a^(k)(x)| <= C_k <x>^(tau + delta k) for every k, where <x> = sqrt(1+x^2).
@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, OrderError, UnknownAmplitude
-from .jets import derivs_to_jet, jet_div, jet_to_derivs
+from .errors import OrderError, UnknownAmplitude
+from .jets import derivs_to_jet, jet_to_derivs
 
 _ENVELOPE_MARGIN = 1.05
 _ENVELOPE_GRID = np.linspace(-60.0, 60.0, 12001)
@@ -52,8 +52,7 @@ class Amplitude:
 
     deriv_stack(x, order) returns [a(x), a'(x), ..., a^(order)(x)] as an
     array of shape (order+1, len(x)); deriv(k, x) is the scalar-order view.
-    seminorm_bound(l) bounds max_{k<=l} sup_x <x>^(-tau-delta k) |a^(k)(x)|,
-    deriv_bound(k) the single-order sup (sharper; 0 for vanishing orders).
+    deriv_bound(k) bounds sup_x <x>^(-tau-delta k) |a^(k)(x)| (0 for vanishing orders).
     _bound_source (b, j) makes deriv_bound(k) read b.deriv_bound(k + j).
     """
 
@@ -89,9 +88,6 @@ class Amplitude:
                 lambda ad, m: float(np.max(ad / _ENVELOPE_HYPOT ** (self.tau + self.delta * m))),
             )
         return self._bound_cache[k]
-
-    def seminorm_bound(self, l: int) -> float:
-        return max(self.deriv_bound(k) for k in range(l + 1))
 
 
 def _constant_stack(x: np.ndarray, order: int) -> np.ndarray:
@@ -204,107 +200,6 @@ def derivative_shift(a: Amplitude, j: int) -> Amplitude:
         f"D{j}({a.name})", a.tau + a.delta * j, a.delta, a.max_order - j, stack,
         _bound_source=(a, j),
     )
-
-
-# ----------------------------------------------------------------------
-# cutoff: smooth bump, phi = 1 on |x|<=1, 0 on |x|>=r, mollifier profile
-# ----------------------------------------------------------------------
-
-_CUTOFF_ORDER_CAP = 16
-
-
-def _mollifier_polys(kmax: int) -> list[np.ndarray]:
-    # f(t)=exp(-1/t):  f^(k)(t) = exp(-1/t) R_k(1/t),  R_{k+1} = y^2 (R_k - R_k')
-    polys = [np.array([1.0])]
-    for _ in range(kmax):
-        R = polys[-1]
-        dR = R[1:] * np.arange(1, len(R))
-        nxt = np.zeros(len(R) + 2)
-        nxt[2 : 2 + len(R)] += R
-        nxt[2 : 2 + len(dR)] -= dR
-        polys.append(nxt)
-    return polys
-
-
-_MOLL_POLYS = _mollifier_polys(_CUTOFF_ORDER_CAP)
-
-# measured sup |bump^(k)| on the unit transition (5% headroom); used for
-# conditioning estimates when choosing the tail IBP depth
-BUMP_DERIV_SUP = (
-    1.0, 2.1, 10.4, 117.0, 2.40e3, 8.11e4, 5.06e6, 4.49e8,
-    5.08e10, 7.13e12, 1.22e15, 2.63e17, 7.28e19, 2.2e22, 7.3e24, 2.6e27, 1.0e30,
-)
-
-
-def _mollifier_derivs(t: np.ndarray, kmax: int) -> np.ndarray:
-    out = np.zeros((kmax + 1, t.size))
-    pos = t > 0
-    if np.any(pos):
-        y = 1.0 / t[pos]
-        e = np.exp(-y)
-        for k in range(kmax + 1):
-            out[k][pos] = e * np.polyval(_MOLL_POLYS[k][::-1], y)
-    return out
-
-
-def _bump_derivs(u: np.ndarray, kmax: int) -> np.ndarray:
-    """Derivatives of g(u) = f(1-u)/(f(u)+f(1-u)) on [0,1]; g(0)=1, g(1)=0."""
-    fu = _mollifier_derivs(u, kmax)
-    fv = _mollifier_derivs(1.0 - u, kmax)
-    sign = (-1.0) ** np.arange(kmax + 1)
-    fv = fv * sign[:, None]
-    num = derivs_to_jet(fv)
-    den = derivs_to_jet(fu + fv)
-    return jet_to_derivs(jet_div(num, den))
-
-
-@dataclass(frozen=True)
-class CutoffSpec:
-    """Smooth cutoff phi (1 on |x|<=1, 0 on |x|>=r) and its derivatives."""
-
-    r: float
-
-    def phi(self, x):
-        return self.phi_stack(x, 0)[0] if np.ndim(x) else float(self.phi_stack([x], 0)[0, 0])
-
-    def phi_deriv(self, t: int, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self.phi_stack(xs, t)[t]
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def phi_stack(self, x, order: int) -> np.ndarray:
-        if order > _CUTOFF_ORDER_CAP:
-            raise OrderError(f"cutoff derivatives available up to {_CUTOFF_ORDER_CAP}")
-        x = np.asarray(x, dtype=float)
-        ax = np.abs(x)
-        out = np.zeros((order + 1, x.size))
-        out[0][ax <= 1.0] = 1.0
-        mid = (ax > 1.0) & (ax < self.r)
-        if np.any(mid):
-            w = self.r - 1.0
-            u = (ax[mid] - 1.0) / w
-            d = _bump_derivs(u, order)
-            sgn = np.where(x[mid] < 0.0, -1.0, 1.0)
-            for k in range(order + 1):
-                out[k][mid] = d[k] * sgn**k / w**k
-        return out
-
-    def psi_stack(self, x, order: int) -> np.ndarray:
-        # psi = 1 - phi
-        out = -self.phi_stack(x, order)
-        out[0] += 1.0
-        return out
-
-    def psi_deriv_sup(self, t: int) -> float:
-        if t >= len(BUMP_DERIV_SUP):
-            raise OrderError(f"cutoff derivative bounds available up to {len(BUMP_DERIV_SUP) - 1}")
-        return BUMP_DERIV_SUP[t] / (self.r - 1.0) ** t if t else 1.0
-
-
-def default_cutoff(r: float) -> CutoffSpec:
-    if not r > 1.0:
-        raise DomainError(f"cutoff radius must exceed 1, got {r}")
-    return CutoffSpec(float(r))
 
 
 # ----------------------------------------------------------------------

@@ -117,10 +117,6 @@ def _config(args) -> QuadratureConfig:
         kw["abs_tol"] = args.abs_tol
     if getattr(args, "cutoff_radius", None) is not None:
         kw["cutoff_radius"] = args.cutoff_radius
-    if getattr(args, "ibp_depth", None) is not None:
-        kw["ibp_depth_override"] = args.ibp_depth
-    if getattr(args, "tail_tol", None) is not None:
-        kw["tail_truncation_tol"] = args.tail_tol
     if getattr(args, "max_nodes", None) is not None:
         kw["max_nodes"] = args.max_nodes
     return QuadratureConfig(**kw)
@@ -134,8 +130,6 @@ def _add_quad_flags(sub) -> None:
     sub.add_argument("--rel-tol", type=float, dest="rel_tol")
     sub.add_argument("--abs-tol", type=float, dest="abs_tol")
     sub.add_argument("--cutoff-radius", type=float, dest="cutoff_radius")
-    sub.add_argument("--ibp-depth", type=int, dest="ibp_depth")
-    sub.add_argument("--tail-tol", type=float, dest="tail_tol")
     sub.add_argument("--max-nodes", type=int, dest="max_nodes")
 
 

@@ -50,7 +50,7 @@ def _deriv_at_zero(a: Amplitude, k: int) -> float:
 
 def expand_halfline(p: float, sign: int, a: Amplitude, N: int) -> ExpansionResult:
     """Terms k = 0..N-floor(p)-1 of the half-line expansion."""
-    if p <= 0:
+    if not 0.0 < p < math.inf:
         raise DomainError(f"phase power must be positive, got {p}")
     if N < p + 1:
         raise DomainError(f"expansion depth N={N} must satisfy N >= p+1 = {p + 1}")
@@ -124,7 +124,7 @@ def stationary_phase_quadratic(sign: int, a: Amplitude, N: int) -> ExpansionResu
 
 def evaluate_expansion(res: ExpansionResult, lam: float) -> complex:
     """Partial sum at lam >= 1."""
-    if lam < 1.0:
+    if not 1.0 <= lam < math.inf:
         raise DomainError(f"expansion evaluation needs lambda >= 1, got {lam}")
     return sum((c * lam**e for _, c, e in res.terms), 0.0 + 0.0j)
 

@@ -72,6 +72,8 @@ def generalized_fresnel_continued(
     q = complex(q)
     if p == 0:
         raise DomainError("continuation requires p != 0")
+    if not (cmath.isfinite(p) and cmath.isfinite(q)):
+        raise DomainError(f"continuation needs finite p and q, got p={p}, q={q}")
     w = q / p
     j = pole_index(w, pole_tol)
     if j is not None:

@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
-import numpy as np
-
-from .amplitudes import Amplitude, CutoffSpec, RegularizerSpec
-from .errors import ClassError, DomainError, OrderError
-from .jets import derivs_to_jet, jet_mul, jet_to_derivs
+from .errors import ClassError, DomainError
 
 _INT_TOL = 1e-12
 
@@ -49,9 +44,6 @@ class IbpTable:
     q: float
     l: int
     rows: tuple
-
-    def coeff(self, lp: int, j: int):
-        return self.rows[lp][j]
 
     def exponent(self, j: int) -> float:
         # x-power of term j at full depth; equals (q-1)-(p-1)l-(l-j)
@@ -100,56 +92,3 @@ def ibp_depth(p: float, q: float, tau: float = 0.0, delta: float = -1.0) -> Dept
     l0 = strict_floor_ratio(q, p)
     l_pq = int(math.floor(max(q + tau, 0.0) / (p - 1.0 - delta))) + 1
     return DepthParams(l0=l0, l_pq=l_pq, tau=tau, delta=delta)
-
-
-@dataclass(frozen=True)
-class TailParts:
-    """Integrand factors for the transformed tail: x^(q-1) a(x) psi(x) chi(eps x).
-
-    cutoff None means psi == 1 (pure region or no split); regularizer None
-    means chi == 1 (the epsilon -> 0 limit already taken).
-    """
-
-    q: float
-    amplitude: Amplitude
-    cutoff: Optional[CutoffSpec] = None
-    regularizer: Optional[RegularizerSpec] = None
-    eps: float = 0.0
-
-
-def product_deriv_stack(parts: TailParts, x: np.ndarray, order: int) -> np.ndarray:
-    """Derivatives 0..order of a(x) psi(x) chi_eps(x) at the points x."""
-    if order > parts.amplitude.max_order:
-        raise OrderError(
-            f"depth needs amplitude derivatives to order {order}, "
-            f"max_order is {parts.amplitude.max_order}"
-        )
-    jet = derivs_to_jet(parts.amplitude.deriv_stack(x, order))
-    if parts.cutoff is not None:
-        jet = jet_mul(jet, derivs_to_jet(parts.cutoff.psi_stack(x, order)))
-    if parts.regularizer is not None:
-        jet = jet_mul(jet, derivs_to_jet(parts.regularizer.scaled_stack(x, parts.eps, order)))
-    return jet_to_derivs(jet)
-
-
-def transformed_integrand(
-    table: IbpTable, lam: float, sign: int, parts: TailParts, x: np.ndarray
-) -> np.ndarray:
-    """(sign L*)^l (x^(q-1) a psi chi_eps) at the points x (without the phase)."""
-    x = np.asarray(x, dtype=float)
-    l = table.l
-    derivs = product_deriv_stack(parts, x, l)
-    acc = np.zeros(x.size, dtype=complex)
-    for j in range(l + 1):
-        c = table.rows[l][j]
-        if c != 0.0:
-            acc += c * x ** (table.q - 1.0 - table.p * l + j) * derivs[j]
-    pref = (sign * 1j / (lam * table.p)) ** l
-    return pref * acc
-
-
-def apply_ibp(table: IbpTable, lam: float, parts: TailParts, x: float) -> complex:
-    """Value of L*^l(x^(q-1) a(x) psi(x) chi_eps(x)) at a single point x > 0."""
-    if x <= 0:
-        raise DomainError("apply_ibp requires x > 0")
-    return complex(transformed_integrand(table, lam, +1, parts, np.array([x]))[0])

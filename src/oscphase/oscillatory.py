@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .quadrature import (
 _EPS = 2.2e-16
 _CHUNK_MAX_PHASE = 2.0e4 * math.pi  # per quadrature extension chunk
 _FAR_STEP_CAP = 70
+_TAIL_TOL = 1e-14  # least remainder bound the far-tail recursion aims for
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,7 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     cutoff_radius: float = 2.0  # smallest split abscissa X of the half line
-    ibp_depth_override: Optional[int] = None  # least boundary-term steps before certifying
-    tail_truncation_tol: float = 1e-14
     max_nodes: int = 2_000_000
-    filon_period_threshold: float = 0.0  # compact part is Gauss-Legendre up to these periods
 
 
 @dataclass(frozen=True)
@@ -67,9 +64,9 @@ class QuadratureReport:
 def _check_common(p: float, lam: float, sign: int, a: Amplitude) -> None:
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    if p <= 0:
+    if not 0.0 < p < math.inf:
         raise DomainError(f"phase power must be positive, got {p}")
-    if lam <= 0:
+    if not 0.0 < lam < math.inf:
         raise DomainError(f"lambda must be positive, got {lam}")
     if a.delta >= p - 1.0:
         raise ClassError(
@@ -201,12 +198,11 @@ def _grown(memo: dict, key: str, order: int, cap: int, stack):
     return rows
 
 
-def _by_parts_from(chain: _TermChain, X: float, tol: float, min_steps: int = 0):
+def _by_parts_from(chain: _TermChain, X: float, tol: float):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
     Returns (value, remainder_bound): value carries the accumulated boundary
-    terms at the step whose envelope bound was smallest, among the steps from
-    min_steps on.
+    terms at the step whose envelope bound was smallest.
     """
     p, lam, s = chain.p, chain.lam, chain.sign
     total = 0.0 + 0.0j
@@ -214,7 +210,7 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, min_steps: int = 0):
     phase = cmath.exp(1j * s * lam * X**p)
     memo: dict = {}
     for n in range(_FAR_STEP_CAP):
-        b = chain.bound_beyond(X) if n >= min_steps else math.inf
+        b = chain.bound_beyond(X)
         if b < best_bound:
             best_val, best_bound = total, b
         if b <= tol:
@@ -235,8 +231,7 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, min_steps: int = 0):
     return best_val, best_bound
 
 
-def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what,
-                 min_steps=0):
+def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what):
     """Add the integral of f = e^(phase) * chain over [X, inf) to (value, err, nodes).
 
     Tries the boundary-term recursion from X; whenever it cannot certify the
@@ -246,7 +241,7 @@ def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, wha
     """
     p, lam = chain.p, chain.lam
     for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain, X, tol, min_steps)
+        far_val, far_bound = _by_parts_from(chain, X, tol)
         if far_bound <= tol:
             return value + far_val, err + far_bound, nodes, X
         x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
@@ -295,7 +290,7 @@ def os_integral_halfline(
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, lam, sign, a)
-    if q <= 0:
+    if not 0.0 < q < math.inf:
         raise DomainError(f"q must be positive, got {q}")
     if not 0.0 < cfg.cutoff_radius < math.inf:
         raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
@@ -306,33 +301,18 @@ def os_integral_halfline(
         raise OverflowError("split abscissa overflowed double precision") from None
     # peel depth; one less when the reduced exponent would be tiny (Filon's corner)
     l = dp.l0 - 1 if q - p * dp.l0 < 0.25 * p else dp.l0
-    if (
-        l >= 1
-        and _ladder
-        and cfg.ibp_depth_override is None
-        and a.max_order >= l + 8
-        and _ladder_wins(p, q, lam, a, X, l)
-    ):
+    if l >= 1 and _ladder and a.max_order >= l + 8 and _ladder_wins(p, q, lam, a, X, l):
         return _reduced_halfline(p, q, sign, lam, a, cfg, l)
-    depth = dp.l_pq if cfg.ibp_depth_override is None else int(cfg.ibp_depth_override)
-    if depth < dp.l_pq:
-        raise DomainError(f"ibp_depth_override={depth} below the integrability depth {dp.l_pq}")
-    if depth > a.max_order:
+    if dp.l_pq > a.max_order:
         raise OrderError(
-            f"integrability depth {depth} exceeds the amplitude's derivative orders "
+            f"integrability depth {dp.l_pq} exceeds the amplitude's derivative orders "
             f"({a.max_order})"
         )
     abs_tol = 0.3 * cfg.abs_tol
     rel_tol = 0.3 * cfg.rel_tol
 
-    if lam * X**p / (2.0 * math.pi) > cfg.filon_period_threshold:
-        compact = _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol)
-    else:
-        compact = osc_power_integral(
-            lambda x: a.deriv_stack(x, 0)[0], 0.0, X, p, q, lam, sign, abs_tol, rel_tol,
-            cfg.max_nodes,
-        )
-    tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(compact.value), cfg.abs_tol))
+    compact = _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol)
+    tol_far = max(_TAIL_TOL, 1e-16 * max(abs(compact.value), cfg.abs_tol))
 
     def f(x):
         return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * a.deriv_stack(x, 0)[0]
@@ -340,14 +320,14 @@ def os_integral_halfline(
     value, err, nodes, X = _finish_tail(
         _TermChain(p, lam, sign, a, None, 0.0, q - 1.0, [1.0 + 0.0j], ja=0), f, X,
         compact.value, compact.est_error, compact.nodes_used, tol_far, abs_tol, rel_tol,
-        cfg, "tail truncation", depth,
+        cfg, "tail truncation",
     )
     value = _ensure_finite(value, "half-line integral")
     return QuadratureReport(
         value=value,
         est_error=err + 5.0 * _EPS * abs(value),
         nodes_used=nodes,
-        ibp_depth_used=depth,
+        ibp_depth_used=dp.l_pq,
         tail_cut=X,
     )
 
@@ -430,7 +410,7 @@ def _eps_single(p, q, sign, lam, a, chi, eps, cfg) -> complex:
     res = osc_power_integral(
         weight, 0.0, X0, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
     )
-    tol_far = max(cfg.tail_truncation_tol, 1e-16 * max(abs(res.value), 1.0))
+    tol_far = max(_TAIL_TOL, 1e-16 * max(abs(res.value), 1.0))
     chain0 = _TermChain(p, lam, sign, a, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
 
     def f_far(x):
@@ -461,11 +441,11 @@ def epsilon_regularized(
     """Regularized limit of the chi(eps x) integrals along a decreasing ladder.
 
     Polynomial extrapolation in eps of degree min(4, len-1) over the smallest
-    rungs, per the empirical convergence of the cutoff family.
+    rungs, per the empirical convergence of the regularized family.
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, lam, sign, a)
-    if q <= 0:
+    if not 0.0 < q < math.inf:
         raise DomainError(f"q must be positive, got {q}")
     eps = [float(e) for e in eps_ladder]
     if len(eps) < 2 or any(not 0.0 < e < 1.0 for e in eps) or any(
@@ -531,7 +511,7 @@ def rotated_contour_reference(p: float, q: float, sign: int) -> complex:
     real Gamma-type integral evaluated by quadrature (no Gamma function)."""
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
-    if p <= 0 or q <= 0:
+    if not (0.0 < p < math.inf and 0.0 < q < math.inf):
         raise DomainError(f"rotated contour needs p, q > 0, got p={p}, q={q}")
     s0 = q / p
     g = _gamma_real_integral(s0, 1e-14, 400_000)

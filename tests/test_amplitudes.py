@@ -1,4 +1,4 @@
-"""Amplitude catalogue, envelopes, cutoff and regularizer oracles."""
+"""Amplitude catalogue, envelopes and regularizer oracles."""
 
 import math
 
@@ -8,11 +8,9 @@ import pytest
 
 from oscphase import (
     Amplitude,
-    DomainError,
     OrderError,
     UnknownAmplitude,
     builtin,
-    default_cutoff,
     default_regularizer,
     rational_regularizer,
     reflected,
@@ -74,7 +72,6 @@ def test_envelope_certification(name):
         d = np.abs(a.deriv_stack(xs, k)[k])
         env = a.deriv_bound(k) * (1.0 + xs**2) ** ((a.tau + a.delta * k) / 2.0)
         assert np.all(d <= env + 1e-300)
-        assert a.seminorm_bound(k) >= a.deriv_bound(k)
 
 
 @pytest.mark.parametrize(
@@ -163,46 +160,6 @@ def test_reflected_amplitude():
         assert ref.deriv(0, x) == pytest.approx(-pg.deriv(0, x), abs=1e-15)
         assert ref.deriv(1, x) == pytest.approx(pg.deriv(1, -x) * -1.0, abs=1e-15)
     assert ref.tau == pg.tau and ref.delta == pg.delta
-
-
-def test_cutoff_plateau_and_support():
-    c = default_cutoff(2.0)
-    assert c.phi(0.5) == 1.0
-    assert c.phi(1.0) == 1.0
-    assert c.phi(3.0) == 0.0
-    assert 0.0 < c.phi(1.5) < 1.0
-    with pytest.raises(DomainError):
-        default_cutoff(1.0)
-
-
-def test_cutoff_partition_exact():
-    c = default_cutoff(2.0)
-    xs = np.linspace(0.0, 3.0, 301)
-    phi = c.phi_stack(xs, 0)[0]
-    psi = c.psi_stack(xs, 0)[0]
-    assert np.all(phi + psi == 1.0)
-
-
-def test_cutoff_derivatives_match_mpmath():
-    r = 2.0
-    f = lambda t: mp.e ** (-1 / t) if t > 0 else mp.mpf(0)
-
-    def phi_mp(x):
-        u = (x - 1) / (r - 1)
-        return f(1 - u) / (f(u) + f(1 - u))
-
-    c = default_cutoff(r)
-    for x in (1.2, 1.5, 1.83):
-        for k in range(7):
-            expect = float(mp.diff(phi_mp, mp.mpf(str(x)), k))
-            assert c.phi_deriv(k, x) == pytest.approx(expect, rel=1e-9, abs=1e-10)
-
-
-def test_cutoff_flat_at_junctions():
-    c = default_cutoff(2.0)
-    for k in range(1, 9):
-        assert c.phi_deriv(k, 1.0) == 0.0
-        assert c.phi_deriv(k, 2.0) == 0.0
 
 
 def test_regularizer_normalization():

@@ -125,6 +125,10 @@ def test_verify_unknown_suite(capsys):
 
 def test_usage_error_exit_code(capsys):
     assert main(["fresnel", "--q", "1"]) == 2  # missing --p
+    # --ibp-depth and --tail-tol are not options
+    for flag, value in (("--ibp-depth", "3"), ("--tail-tol", "1e-12")):
+        assert main(["oscint", "--halfline", "--p", "2", flag, value]) == 2
+        assert "unrecognized arguments: " + flag in capsys.readouterr().err
     capsys.readouterr()
 
 
@@ -186,6 +190,29 @@ def test_bad_cutoff_radius_exit_code(capsys, radius):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error: cutoff radius must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [
+    "oscint --halfline --p 2 --q nan",
+    "oscint --halfline --p 2 --lambda nan",
+    "oscint --halfline --p nan",
+    "oscint --halfline --p inf",
+    "oscint --halfline --p 2 --lambda inf",
+    "oscint --method eps --p nan",
+    "oscint --method contour --p nan",
+    "oscint --method contour --p 2 --q inf",
+    "oscint --fullline --m 2 --lambda nan",
+    "expand --halfline --p nan --N 4",
+    "expand --fullline --m 2 --N 4 --lambda nan",
+    "fresnel --p 2 --q nan --continued",
+])
+def test_non_finite_input_exit_code(capsys, argv):
+    # a NaN or infinite p, q or lambda is a domain error, not a traceback,
+    # a budget error or a NaN answer
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_unknown_amplitude_exit_code(capsys):

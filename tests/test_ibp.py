@@ -7,17 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscphase import (
-    ClassError,
-    DomainError,
-    TailParts,
-    apply_ibp,
-    builtin,
-    default_cutoff,
-    ibp_coefficients,
-    ibp_depth,
-)
+from oscphase import ClassError, builtin, ibp_coefficients, ibp_depth
 from oscphase.ibp import coefficient_rows, strict_floor_ratio
+from oscphase.oscillatory import _TermChain
 from oscphase.verification import brute_ibp_rows
 
 
@@ -90,33 +82,13 @@ def test_depth_params():
         ibp_depth(2.0, 1.0, tau=0.0, delta=-1.5)
 
 
-def test_apply_ibp_identity_depth_zero():
-    a = builtin("gaussian")
-    cut = default_cutoff(2.0)
-    t = ibp_coefficients(2.0, 1.5, 0)
-    parts = TailParts(1.5, a, cut, None, 0.0)
-    x = 1.3
-    expect = x**0.5 * a.deriv(0, x) * (1.0 - cut.phi(x))
-    assert apply_ibp(t, 3.0, parts, x) == pytest.approx(expect, rel=1e-14)
-
-
-def test_apply_ibp_hand_case():
-    # constant amplitude, psi == 1, chi == 1, l=1, p=2, q=1:
+def test_term_chain_hand_case():
+    # constant amplitude, no regularizer, one step of L* at p=2, q=1:
     # (i/(2 lam)) (1-2) x^(-2)
-    a = builtin("constant_one")
-    t = ibp_coefficients(2.0, 1.0, 1)
-    parts = TailParts(1.0, a, None, None, 0.0)
-    lam = 3.7
-    x = 1.9
+    lam, x = 3.7, 1.9
+    chain = _TermChain(2.0, lam, +1, builtin("constant_one"), None, 0.0, 0.0, [1.0 + 0.0j], ja=0)
     expect = (1j / (2.0 * lam)) * (-1.0) * x**-2.0
-    assert apply_ibp(t, lam, parts, x) == pytest.approx(expect, rel=1e-14)
-
-
-def test_apply_ibp_requires_positive_x():
-    t = ibp_coefficients(2.0, 1.0, 1)
-    parts = TailParts(1.0, builtin("constant_one"), None, None, 0.0)
-    with pytest.raises(DomainError):
-        apply_ibp(t, 1.0, parts, 0.0)
+    assert chain.step().value_at(x, {}) == pytest.approx(expect, rel=1e-14)
 
 
 def test_transformed_tail_decays_at_integrable_rate():
@@ -126,42 +98,10 @@ def test_transformed_tail_decays_at_integrable_rate():
     d = ibp_depth(p, q, a.tau, a.delta)
     beta = max(q + a.tau, 0.0) - 1.0 - (p - 1.0 - a.delta) * d.l_pq
     assert beta < -1.0
-    t = ibp_coefficients(p, q, d.l_pq)
-    parts = TailParts(q, a, default_cutoff(2.0), None, 0.0)
-    lam = 1.0
+    chain = _TermChain(p, 1.0, +1, a, None, 0.0, q - 1.0, [1.0 + 0.0j], ja=0)
+    for _ in range(d.l_pq):
+        chain = chain.step()
     xs = [10.0, 20.0, 40.0]
-    vals = [abs(apply_ibp(t, lam, parts, x)) for x in xs]
+    vals = [abs(chain.value_at(x, {})) for x in xs]
     slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
     assert slope <= beta + 0.1
-
-
-def test_apply_ibp_with_regularizer():
-    # depth-1 transformed integrand with the full a*psi*chi_eps product,
-    # checked against a high-precision derivative of the product
-    import mpmath as mp
-
-    from oscphase import default_regularizer
-
-    a = builtin("gaussian")
-    cut = default_cutoff(2.0)
-    chi = default_regularizer()
-    eps = 0.3
-    p, q, lam, x = 2.0, 1.5, 1.7, 1.4
-    t = ibp_coefficients(p, q, 1)
-    parts = TailParts(q, a, cut, chi, eps)
-    got = apply_ibp(t, lam, parts, x)
-
-    f_mol = lambda u: mp.e ** (-1 / u) if u > 0 else mp.mpf(0)
-
-    def prod(y):
-        u = y - 1  # transition of the r=2 cutoff
-        phi = f_mol(1 - u) / (f_mol(u) + f_mol(1 - u))
-        return mp.e ** (-(y**2)) * (1 - phi) * mp.e ** (-((eps * y) ** 2))
-
-    with mp.workdps(40):
-        p0 = prod(mp.mpf(x))
-        p1 = mp.diff(prod, mp.mpf(x), 1)
-        expect = (1j / (lam * p)) * (
-            (q - p) * x ** (q - 1 - p) * p0 + x ** (q - p) * p1
-        )
-    assert abs(got - complex(expect)) <= 1e-12 * abs(complex(expect))

@@ -25,9 +25,9 @@ from oscphase import (
     rotated_contour_reference,
 )
 from oscphase.amplitudes import _gaussian_stack
-from oscphase.ibp import TailParts, coefficient_rows, product_deriv_stack
-from oscphase.oscillatory import _TermChain, _by_parts_from, _sph_jn
-from oscphase.quadrature import adaptive, phase_breakpoints
+from oscphase.ibp import coefficient_rows
+from oscphase.oscillatory import _TermChain, _by_parts_from, _filon_compact, _sph_jn
+from oscphase.quadrature import adaptive, osc_power_integral, phase_breakpoints
 from oscphase.verification import GRID_P
 
 ONE = builtin("constant_one")
@@ -140,8 +140,8 @@ def test_far_tail_recursion_brackets_the_tail(sign):
 
 
 def test_term_chain_collapses_the_lattice():
-    # steps give the ibp coefficient rows; values the jet product a * chi_eps;
-    # the bound the term-by-term envelope sum over (k, j), here with
+    # steps give the ibp coefficient rows; values the derivatives of a * chi_eps
+    # (mpmath); the bound the term-by-term envelope sum over (k, j), here with
     # delta = -1/2, where the envelope exponent moves with j
     p, q, lam, sign, eps, x = 2.0, 1.5, 1.3, -1, 0.3, 5.0
     f = sign * 1j / (lam * p)
@@ -154,10 +154,11 @@ def test_term_chain_collapses_the_lattice():
     chi = default_regularizer()
     amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack)
     chain = _TermChain(p, lam, sign, amp, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
+    with mp.workdps(40):  # a * chi_eps = e^(-x^2) e^(-(eps x)^2)
+        g = [float(mp.diff(lambda y: mp.e ** (-(1 + eps**2) * y**2), mp.mpf(x), k))
+             for k in range(7)]
     memo: dict = {}
     for n in range(6):
-        top = len(chain.c) - 1
-        g = product_deriv_stack(TailParts(q, amp, None, chi, eps), np.array([x]), top)[:, 0]
         expect = sum(c * x ** (q - 1.0 - p * n + k) * g[k] for k, c in enumerate(chain.c))
         got = chain.value_at(x, memo)
         assert got == chain.value_at(x, {})  # stacks kept across steps change nothing
@@ -200,8 +201,11 @@ def test_rotated_contour_values(p, q, expect):
 
 
 def test_cutoff_radius_independence():
-    a = os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, QuadratureConfig(cutoff_radius=1.5))
-    b = os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, QuadratureConfig(cutoff_radius=3.0))
+    # at lambda = 100 the split floor (40/(lambda p))^(1/p) = 0.45 is below both
+    # radii, so the radius really moves X
+    a = os_integral_halfline(2.0, 1.0, +1, 100.0, ONE, QuadratureConfig(cutoff_radius=1.5))
+    b = os_integral_halfline(2.0, 1.0, +1, 100.0, ONE, QuadratureConfig(cutoff_radius=3.0))
+    assert a.tail_cut != b.tail_cut
     assert abs(a.value - b.value) <= 10.0 * (a.est_error + b.est_error) + 1e-13
 
 
@@ -221,18 +225,6 @@ def test_split_abscissa_independence(p, q, lam, name):
         assert abs(rep.value - reps[0].value) <= rep.est_error + reps[0].est_error
 
 
-def test_depth_override_respected():
-    rep = os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, QuadratureConfig(ibp_depth_override=3))
-    assert rep.ibp_depth_used == 3
-    expect = generalized_fresnel(2.0, 1.0, +1).value
-    assert abs(rep.value - expect) <= 1e-8
-
-
-def test_depth_override_below_integrability_rejected():
-    with pytest.raises(DomainError):
-        os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, QuadratureConfig(ibp_depth_override=0))
-
-
 def _flat_amplitude(delta: float) -> Amplitude:
     def stack(x, order):
         out = np.zeros((order + 1, x.size))
@@ -250,8 +242,9 @@ def test_class_error_for_bad_delta():
 def test_order_error_for_shallow_amplitude():
     shallow = Amplitude("shallow", 0.0, -1.0, 1, lambda x, o: np.vstack(
         [np.ones(x.size)] + [np.zeros(x.size)] * o) if o else np.ones((1, x.size)))
+    # the integrability depth floor(5/2) + 1 = 3 needs a'' and a'''
     with pytest.raises(OrderError):
-        os_integral_halfline(2.0, 1.0, +1, 1.0, shallow, QuadratureConfig(ibp_depth_override=4))
+        os_integral_halfline(2.0, 5.0, +1, 1.0, shallow)
 
 
 def test_budget_error():
@@ -347,19 +340,22 @@ def test_node_budget_respected(p, q, lam):
 
 @pytest.mark.parametrize("p,q,lam", [(1.0, 0.5, 3.2e3), (3.0, 1.0, 1e3)])
 def test_filon_and_gl_compact_engines_agree(p, q, lam):
-    filon = os_integral_halfline(p, q, +1, lam, ONE)
-    gl = os_integral_halfline(
-        p, q, +1, lam, ONE, QuadratureConfig(filon_period_threshold=math.inf)
-    )
+    # the compact part over [0, X], by Filon and by Gauss-Legendre panels
+    cfg = QuadratureConfig()
+    X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
+    tols = (0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol)
+    filon = _filon_compact(p, q, +1, lam, ONE, X, cfg, *tols)
+    gl = osc_power_integral(lambda x: ONE.deriv_stack(x, 0)[0], 0.0, X, p, q, lam, +1,
+                            *tols, cfg.max_nodes)
     assert abs(filon.value - gl.value) <= filon.est_error + gl.est_error
     assert filon.nodes_used < gl.nodes_used
 
 
 @pytest.mark.parametrize("p", [0.7, 1.0, 1.5, 2.0, 3.0])
 def test_forced_filon_estimate_is_honest(p):
-    # below the switch too, where the cutoff's transition zone and the
-    # aliased Legendre tail dominate the error at small panel arguments
-    cfg = QuadratureConfig(filon_period_threshold=0.0)
+    # at few periods too, where the aliased Legendre tail dominates the
+    # error at small panel arguments
+    cfg = QuadratureConfig()
     for q in (0.3, 0.5, 1.0, p + 0.5):
         for lam in (1.0, 10.0, 100.0, 1e3):
             rep = os_integral_halfline(p, q, +1, lam, ONE, cfg)
