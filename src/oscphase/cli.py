@@ -30,7 +30,6 @@ from .fresnel import (
     generalized_fresnel_continued,
 )
 from .oscillatory import (
-    DEFAULT_EPS_LADDER,
     QuadratureConfig,
     epsilon_regularized,
     os_integral_fullline,
@@ -163,7 +162,8 @@ def build_parser() -> argparse.ArgumentParser:
     oi.add_argument("--method", choices=("split", "eps", "contour"), default="split",
                     help="split: Filon on [0, X] plus boundary-term recursion from X; eps: regularized limit; contour: rotated-ray reference")
     oi.add_argument("--eps-ladder", dest="eps_ladder",
-                    help="comma-separated decreasing epsilons for --method eps")
+                    help="comma-separated decreasing epsilons for --method eps "
+                         "(default: a ladder set by p and lambda)")
     oi.add_argument("--chi", type=_regularizer, default=None,
                     help="regularizer for --method eps (gaussian|rational)")
     _add_quad_flags(oi)
@@ -250,9 +250,7 @@ def _cmd_oscint(args, stream) -> int:
         if args.p is None:
             raise DomainError("--method eps needs --p (and optionally --q)")
         ladder = (
-            tuple(float(t) for t in args.eps_ladder.split(","))
-            if args.eps_ladder
-            else DEFAULT_EPS_LADDER
+            tuple(float(t) for t in args.eps_ladder.split(",")) if args.eps_ladder else None
         )
         chi = args.chi or default_regularizer()
         v = epsilon_regularized(args.p, args.q, args.sign, args.lam, amp, chi, ladder, cfg)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,16 @@ class QuadratureReport:
     tail_cut: float
 
 
+def _check_config(cfg: QuadratureConfig) -> None:
+    if not 0.0 < cfg.cutoff_radius < math.inf:
+        raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
+    for name, tol in (("rel_tol", cfg.rel_tol), ("abs_tol", cfg.abs_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise DomainError(f"{name} must be finite and non-negative, got {tol}")
+    if not cfg.max_nodes >= 1:
+        raise DomainError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
+
+
 def _check_common(p: float, lam: float, sign: int, a: Amplitude) -> None:
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
@@ -92,24 +103,32 @@ class _TermChain:
     n counts the applications of sign*L*. By Leibniz the coefficient of
     a^(j) chi_eps^(k-j) is binom(k, j) c[k]. ja is the highest amplitude order
     in play: an order whose envelope constant is 0 vanishes, and without chi
-    it stops the list from growing. Every step of one chain shares the
-    envelope weight rows.
+    it stops the list from growing.
+
+    Nothing here depends on eps: the coefficients follow from p, lam and the
+    exponents, and bound_beyond uses chi's constants, which are uniform in
+    0 < eps < 1. Only value_at reads eps, so one chain serves every rung of
+    an eps ladder; its steps and bounds are memoized, and every step shares
+    the envelope weight rows.
     """
 
-    def __init__(self, p, lam, sign, amp, chi, eps, e_base, c, n=0, ja=None, weights=None):
+    def __init__(self, p, lam, sign, amp, chi, e_base, c, n=0, ja=None, weights=None):
         self.p = p
         self.lam = lam
         self.sign = sign
         self.amp = amp
         self.chi = chi
-        self.eps = eps
         self.e_base = e_base
         self.c = c  # list of complex, index k
         self.n = n
         self.ja = len(c) - 1 if ja is None else ja
         self.weights = [] if weights is None else weights
+        self._next = None
+        self._bounds: dict = {}
 
     def step(self) -> "_TermChain":
+        if self._next is not None:
+            return self._next
         # sign*L* of c x^e g^(k): f c ((e+1-p) x^(e-p) g^(k) + x^(e+1-p) g^(k+1))
         f = self.sign * 1j / (self.lam * self.p)
         c, top = self.c, len(self.c) - 1
@@ -122,26 +141,28 @@ class _TermChain:
             ja += 1
         if c and (self.chi is not None or ja > top):
             out.append(f * c[top])
-        return _TermChain(self.p, self.lam, self.sign, self.amp, self.chi, self.eps,
-                          self.e_base, out, self.n + 1, ja, self.weights)
+        self._next = _TermChain(self.p, self.lam, self.sign, self.amp, self.chi,
+                                self.e_base, out, self.n + 1, ja, self.weights)
+        return self._next
 
-    def _derivs_at(self, x: float, memo: dict):
-        """g^(0..K)(x); memo keeps the stacks at x across the steps of one recursion."""
+    def _derivs_at(self, x: float, memo: dict, eps: float):
+        """g^(0..K)(x); memo keeps the stacks at (x, eps) across the steps of one recursion."""
         a = _grown(memo, "a", self.ja, self.amp.max_order,
                    lambda m: self.amp.deriv_stack(np.array([x]), m)[:, 0])
         if self.chi is None:
             return a
         top = len(self.c) - 1
         cd = _grown(memo, "chi", top, self.chi.max_order,
-                    lambda m: self.chi.scaled_stack(np.array([x]), self.eps, m)[:, 0])
+                    lambda m: self.chi.scaled_stack(np.array([x]), eps, m)[:, 0])
         g = memo.setdefault("g", [])
         for k in range(len(g), top + 1):
             g.append(sum(math.comb(k, j) * a[j] * cd[k - j] for j in range(min(k, self.ja) + 1)))
         return g
 
-    def value_at(self, x: float, memo: dict) -> complex:
-        """The chain at x; pass one memo for every step of one recursion."""
-        g = self._derivs_at(x, memo)
+    def value_at(self, x: float, memo: dict, eps: float = 0.0) -> complex:
+        """The chain at x with chi(eps x); pass one memo per (x, eps) for every
+        step of one recursion."""
+        g = self._derivs_at(x, memo, eps)
         acc = 0.0 + 0.0j
         for k, c in enumerate(self.c):
             acc += c * x ** (self.e_base + k - self.p * self.n) * g[k]
@@ -168,6 +189,9 @@ class _TermChain:
         return rows
 
     def bound_beyond(self, x: float) -> float:
+        """Envelope bound of the chain's integral over [x, inf), for every eps."""
+        if x in self._bounds:
+            return self._bounds[x]
         e0 = self.e_base - self.p * self.n + self.amp.tau
         mass: dict = {}
         for c, row in zip(self.c, self._weight_rows()):
@@ -178,8 +202,10 @@ class _TermChain:
         for s, m in mass.items():
             e_net = e0 + s
             if e_net >= -1.0:
-                return math.inf
+                total = math.inf
+                break
             total += m * x ** (e_net + 1.0) / (-e_net - 1.0)
+        self._bounds[x] = total
         return total
 
     def order_budget_ok(self) -> bool:
@@ -198,50 +224,64 @@ def _grown(memo: dict, key: str, order: int, cap: int, stack):
     return rows
 
 
-def _by_parts_from(chain: _TermChain, X: float, tol: float):
+def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
-    Returns (value, remainder_bound): value carries the accumulated boundary
-    terms at the step whose envelope bound was smallest.
+    Walks the chain's bounds first and stops at the first step whose bound is
+    <= tol, or, when a bound exceeds 10x the best so far or the derivative
+    orders run out, settles for the step with the smallest bound. Returns
+    (value, remainder_bound) with value the boundary terms up to that step at
+    chi(eps x); value is None when the bound does not reach tol, and then no
+    boundary term is evaluated.
     """
-    p, lam, s = chain.p, chain.lam, chain.sign
-    total = 0.0 + 0.0j
-    best_val, best_bound = total, math.inf
-    phase = cmath.exp(1j * s * lam * X**p)
-    memo: dict = {}
+    bounds = []
+    best = 0
+    link = chain
     for n in range(_FAR_STEP_CAP):
-        b = chain.bound_beyond(X)
-        if b < best_bound:
-            best_val, best_bound = total, b
+        b = link.bound_beyond(X)
+        bounds.append(b)
+        if b < bounds[best]:
+            best = n
         if b <= tol:
-            return total, b
-        if math.isfinite(best_bound) and b > 10.0 * best_bound:
             break
-        if not chain.order_budget_ok():
+        if math.isfinite(bounds[best]) and b > 10.0 * bounds[best]:
             break
+        if not link.order_budget_ok():
+            break
+        link = link.step()
+    if not bounds[best] <= tol:
+        return None, bounds[best]
+    p, lam, s = chain.p, chain.lam, chain.sign
+    phase = cmath.exp(1j * s * lam * X**p)
+    total = 0.0 + 0.0j
+    memo: dict = {}
+    link = chain
+    for n in range(best):
         try:
-            term = -phase * chain.value_at(X, memo) / (s * 1j * lam * p * X ** (p - 1.0))
+            term = -phase * link.value_at(X, memo, eps) / (s * 1j * lam * p * X ** (p - 1.0))
         except OverflowError:
             term = math.inf
         if not cmath.isfinite(term):
             # a boundary term beyond double range: the chunk extension takes over
-            break
+            return None, min(bounds[: n + 1])
         total += term
-        chain = chain.step()
-    return best_val, best_bound
+        link = link.step()
+    return total, bounds[best]
 
 
-def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what):
+def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what, eps=0.0):
     """Add the integral of f = e^(phase) * chain over [X, inf) to (value, err, nodes).
 
     Tries the boundary-term recursion from X; whenever it cannot certify the
     remainder below tol, integrates f over one more chunk of at most
     _CHUNK_MAX_PHASE phase and retries from the chunk's end. Returns
     (value, err, nodes, X) with X the abscissa the recursion started from.
+    The chunk ends depend on p, lam and X only, so the chains of every rung
+    of an eps ladder meet the same abscissas and reuse their bounds there.
     """
     p, lam = chain.p, chain.lam
     for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain, X, tol)
+        far_val, far_bound = _by_parts_from(chain, X, tol, eps)
         if far_bound <= tol:
             return value + far_val, err + far_bound, nodes, X
         x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
@@ -292,8 +332,7 @@ def os_integral_halfline(
     _check_common(p, lam, sign, a)
     if not 0.0 < q < math.inf:
         raise DomainError(f"q must be positive, got {q}")
-    if not 0.0 < cfg.cutoff_radius < math.inf:
-        raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
+    _check_config(cfg)
     dp = ibp_depth(p, q, a.tau, a.delta)
     try:
         X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
@@ -318,7 +357,7 @@ def os_integral_halfline(
         return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * a.deriv_stack(x, 0)[0]
 
     value, err, nodes, X = _finish_tail(
-        _TermChain(p, lam, sign, a, None, 0.0, q - 1.0, [1.0 + 0.0j], ja=0), f, X,
+        _TermChain(p, lam, sign, a, None, q - 1.0, [1.0 + 0.0j], ja=0), f, X,
         compact.value, compact.est_error, compact.nodes_used, tol_far, abs_tol, rel_tol,
         cfg, "tail truncation",
     )
@@ -396,13 +435,15 @@ def os_integral_fullline(
 # ----------------------------------------------------------------------
 
 
-def _eps_single(p, q, sign, lam, a, chi, eps, cfg) -> complex:
-    """Absolutely convergent integral with the regularizer chi(eps x) inserted."""
+def _eps_single(chain, q, eps, X0, cfg) -> complex:
+    """Absolutely convergent integral with the regularizer chi(eps x) inserted.
+
+    GL panels over [0, X0], then the shared eps-free chain's boundary terms
+    from X0 evaluated at chi(eps x).
+    """
+    p, lam, sign, a, chi = chain.p, chain.lam, chain.sign, chain.amp, chain.chi
     abs_tol = 0.25 * cfg.abs_tol
     rel_tol = 0.25 * cfg.rel_tol
-    # direct zone: oscillation budget ~ 40 phase units minimum for the
-    # boundary-term recursion to contract
-    X0 = max(4.0, (40.0 / (lam * p)) ** (1.0 / p))
 
     def weight(x):
         return a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
@@ -411,15 +452,13 @@ def _eps_single(p, q, sign, lam, a, chi, eps, cfg) -> complex:
         weight, 0.0, X0, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
     )
     tol_far = max(_TAIL_TOL, 1e-16 * max(abs(res.value), 1.0))
-    chain0 = _TermChain(p, lam, sign, a, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
 
     def f_far(x):
-        ph = np.exp(1j * sign * lam * x**p)
-        return ph * x ** (q - 1.0) * a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
+        return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * weight(x)
 
     value, _, _, _ = _finish_tail(
-        chain0, f_far, X0, res.value, res.est_error, res.nodes_used,
-        tol_far, abs_tol, rel_tol, cfg, "epsilon-path tail",
+        chain, f_far, X0, res.value, res.est_error, res.nodes_used,
+        tol_far, abs_tol, rel_tol, cfg, "epsilon-path tail", eps,
     )
     return value
 
@@ -436,24 +475,33 @@ def neville_at_zero(ts, vs):
 
 def epsilon_regularized(
     p: float, q: float, sign: int, lam: float, a: Amplitude,
-    chi: RegularizerSpec, eps_ladder, cfg: QuadratureConfig | None = None,
+    chi: RegularizerSpec, eps_ladder=None, cfg: QuadratureConfig | None = None,
 ) -> complex:
     """Regularized limit of the chi(eps x) integrals along a decreasing ladder.
 
     Polynomial extrapolation in eps of degree min(4, len-1) over the smallest
-    rungs, per the empirical convergence of the regularized family.
+    rungs, per the empirical convergence of the regularized family. The
+    ladder defaults to default_eps_ladder(p, lam).
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, lam, sign, a)
     if not 0.0 < q < math.inf:
         raise DomainError(f"q must be positive, got {q}")
-    eps = [float(e) for e in eps_ladder]
+    _check_config(cfg)
+    eps = [float(e) for e in (default_eps_ladder(p, lam) if eps_ladder is None else eps_ladder)]
     if len(eps) < 2 or any(not 0.0 < e < 1.0 for e in eps) or any(
         e2 >= e1 for e1, e2 in zip(eps, eps[1:])
     ):
         raise DomainError("eps ladder must be strictly decreasing within (0, 1)")
 
-    vals = [_eps_single(p, q, sign, lam, a, chi, e, cfg) for e in eps]
+    # the tail starts where lam p X0^p >= 40 * 2^p, i.e. where the chain's
+    # bound, uniform in eps, certifies without a chunk extension
+    try:
+        X0 = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
+    except OverflowError:
+        raise OverflowError("epsilon-path split abscissa overflowed double precision") from None
+    chain = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+    vals = [_eps_single(chain, q, e, X0, cfg) for e in eps]
     deg = min(4, len(eps) - 1)
     extr = [
         neville_at_zero(eps[i - deg : i + 1], vals[i - deg : i + 1])
@@ -470,9 +518,25 @@ def epsilon_regularized(
     return _ensure_finite(extr[-1], "epsilon-regularized limit")
 
 
-# geometric, 0.05 down to 0.005; small powers p need the deeper rungs and
-# the boundary-term tail recursion keeps every rung equally cheap
+# geometric, 0.05 down to 0.005: the default ladder at p = 2, lam = 1, and the
+# cap of every rung of default_eps_ladder
 DEFAULT_EPS_LADDER = tuple(0.05 * (0.1 ** (k / 7.0)) for k in range(8))
+
+
+def default_eps_ladder(p: float, lam: float) -> tuple:
+    """eps_k = min((lam / Phi_k)^(1/p), DEFAULT_EPS_LADDER[k]), Phi_k = 400 * 100^(k/7).
+
+    chi(eps x) differs from 1 only beyond x ~ 1/eps; the correction it leaves
+    dies with the phase there, lam eps^(-p), which this ladder sets to Phi_k
+    (or more, where the cap binds) for every p and lam.
+    """
+    ratios = (lam / (400.0 * 100.0 ** (k / 7.0)) for k in range(len(DEFAULT_EPS_LADDER)))
+    # compared as powers, so a rung that the cap replaces is never computed
+    ladder = tuple(cap if r >= cap**p else r ** (1.0 / p)
+                   for r, cap in zip(ratios, DEFAULT_EPS_LADDER))
+    if ladder[-1] < sys.float_info.min:
+        raise OverflowError("default epsilon ladder underflowed double precision")
+    return ladder
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,6 @@ from .fresnel import (
 )
 from .ibp import coefficient_rows
 from .oscillatory import (
-    DEFAULT_EPS_LADDER,
     QuadratureConfig,
     epsilon_regularized,
     neville_at_zero,
@@ -92,9 +91,7 @@ def check_fresnel_anchor() -> CheckResult:
     rep = os_integral_halfline(2.0, 1.0, +1, 1.0, builtin("constant_one"))
     d = abs(rep.value - exact)
     out.row(d <= 1e-8, f"quadrature path: diff {d:.2e} <= 1e-8")
-    v = epsilon_regularized(
-        2.0, 1.0, +1, 1.0, builtin("constant_one"), default_regularizer(), DEFAULT_EPS_LADDER
-    )
+    v = epsilon_regularized(2.0, 1.0, +1, 1.0, builtin("constant_one"), default_regularizer())
     d = abs(v - exact)
     out.row(d <= 1e-4, f"epsilon path: diff {d:.2e} <= 1e-4")
     return out
@@ -124,7 +121,7 @@ def check_gelfand_shilov() -> CheckResult:
     one = builtin("constant_one")
     chi = default_regularizer()
     for q in (0.5, 1.0, 1.5, 2.5):
-        v = epsilon_regularized(1.0, q, +1, 1.0, one, chi, DEFAULT_EPS_LADDER)
+        v = epsilon_regularized(1.0, q, +1, 1.0, one, chi)
         exact = cmath.exp(1j * math.pi * q / 2.0) * gamma(q)
         d = abs(v - exact)
         out.row(d < 1e-4, f"q={q}: diff {d:.2e} < 1e-4")
@@ -293,8 +290,8 @@ def check_structural_invariants() -> CheckResult:
         budget = 10.0 * (r_small.est_error + r_big.est_error)
         out.row(d <= budget, f"cutoff independence p={p} q={q}: {d:.2e} <= {budget:.2e}")
 
-    v_g = epsilon_regularized(2.0, 1.0, +1, 1.0, one, default_regularizer(), DEFAULT_EPS_LADDER)
-    v_r = epsilon_regularized(2.0, 1.0, +1, 1.0, one, rational_regularizer(), DEFAULT_EPS_LADDER)
+    v_g = epsilon_regularized(2.0, 1.0, +1, 1.0, one, default_regularizer())
+    v_r = epsilon_regularized(2.0, 1.0, +1, 1.0, one, rational_regularizer())
     d = abs(v_g - v_r)
     out.row(d <= 1e-4, f"chi independence: {d:.2e} <= 1e-4")
 

@@ -158,12 +158,43 @@ def test_budget_error_exit_code(capsys):
 
 
 def test_overflow_exit_code(capsys):
-    # at p = 0.3 and lambda = 0.01 the boundary-term recursion leaves double
-    # range; the call must end in a one-line error, not a traceback
-    code = main(["oscint", "--method", "eps", "--p", "0.3", "--q", "0.25", "--lambda", "0.01"])
+    # at p = 0.1 and lambda = 1e-30 the default eps ladder (lambda/Phi)^(1/p)
+    # is below double range; the call must end in a one-line error, not a
+    # traceback
+    code = main(["oscint", "--method", "eps", "--p", "0.1", "--q", "0.5", "--lambda", "1e-30"])
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eps_small_power_exit_code(capsys):
+    # the default eps ladder follows p and lambda, so p = 0.3 at lambda = 0.01
+    # reaches the closed form instead of failing to stabilize
+    code, out = run(capsys, "oscint", "--method", "eps", "--p", "0.3", "--q", "0.25",
+                    "--lambda", "0.01")
+    assert code == 0
+    rec = json.loads(out)
+    expect = cmath.exp(1j * math.pi * 0.25 / 0.6) * math.gamma(0.25 / 0.3) / 0.3 * 0.01 ** (-0.25 / 0.3)
+    assert abs(complex(rec["re"], rec["im"]) - expect) <= 1e-4 * abs(expect)
+
+
+@pytest.mark.parametrize("argv", [
+    "oscint --halfline --p 2 --abs-tol nan",
+    "oscint --halfline --p 2 --abs-tol -1",
+    "oscint --halfline --p 2 --rel-tol inf",
+    "oscint --halfline --p 2 --rel-tol nan",
+    "oscint --halfline --p 2 --max-nodes 0",
+    "oscint --fullline --m 2 --abs-tol inf",
+    "oscint --method eps --p 2 --rel-tol -0.001",
+    "sweep --from 1 --to 2 --points 2 --halfline --p 2 --abs-tol nan",
+])
+def test_bad_tolerance_exit_code(capsys, argv):
+    # a tolerance must be finite and non-negative and the node budget at
+    # least 1; a NaN tolerance never stops refinement
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_split_abscissa_overflow_exit_code(capsys):

@@ -26,7 +26,15 @@ from oscphase import (
 )
 from oscphase.amplitudes import _gaussian_stack
 from oscphase.ibp import coefficient_rows
-from oscphase.oscillatory import _TermChain, _by_parts_from, _filon_compact, _sph_jn
+import oscphase.oscillatory as osc_mod
+import oscphase.quadrature as quad_mod
+from oscphase.oscillatory import (
+    _TermChain,
+    _by_parts_from,
+    _filon_compact,
+    _sph_jn,
+    default_eps_ladder,
+)
 from oscphase.quadrature import adaptive, osc_power_integral, phase_breakpoints
 from oscphase.verification import GRID_P
 
@@ -126,8 +134,12 @@ def test_far_tail_recursion_brackets_the_tail(sign):
     # the boundary-term recursion over [X, inf) with a and chi both in play
     p, q, lam, eps, X = 2.0, 1.5, 1.0, 0.05, 4.0
     chi = default_regularizer()
-    chain = _TermChain(p, lam, sign, GAUSS, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
-    value, bound = _by_parts_from(chain, X, 1e-14)
+    chain = _TermChain(p, lam, sign, GAUSS, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+    # the bound does not reach 1e-14 here, so no boundary term is evaluated;
+    # asking for its least bound stops the recursion at that step
+    none, least = _by_parts_from(chain, X, 1e-14, eps)
+    assert none is None
+    value, bound = _by_parts_from(chain, X, least, eps)
 
     def f(x):
         return (np.exp(1j * sign * lam * x**p) * x ** (q - 1.0)
@@ -145,7 +157,7 @@ def test_term_chain_collapses_the_lattice():
     # delta = -1/2, where the envelope exponent moves with j
     p, q, lam, sign, eps, x = 2.0, 1.5, 1.3, -1, 0.3, 5.0
     f = sign * 1j / (lam * p)
-    chain = _TermChain(p, lam, sign, GAUSS, None, 0.0, q - 1.0, [1.0 + 0.0j])
+    chain = _TermChain(p, lam, sign, GAUSS, None, q - 1.0, [1.0 + 0.0j])
     for _ in range(5):
         chain = chain.step()
     rows = coefficient_rows(p, q, 5)
@@ -153,15 +165,15 @@ def test_term_chain_collapses_the_lattice():
 
     chi = default_regularizer()
     amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack)
-    chain = _TermChain(p, lam, sign, amp, chi, eps, q - 1.0, [1.0 + 0.0j], ja=0)
+    chain = _TermChain(p, lam, sign, amp, chi, q - 1.0, [1.0 + 0.0j], ja=0)
     with mp.workdps(40):  # a * chi_eps = e^(-x^2) e^(-(eps x)^2)
         g = [float(mp.diff(lambda y: mp.e ** (-(1 + eps**2) * y**2), mp.mpf(x), k))
              for k in range(7)]
     memo: dict = {}
     for n in range(6):
         expect = sum(c * x ** (q - 1.0 - p * n + k) * g[k] for k, c in enumerate(chain.c))
-        got = chain.value_at(x, memo)
-        assert got == chain.value_at(x, {})  # stacks kept across steps change nothing
+        got = chain.value_at(x, memo, eps)
+        assert got == chain.value_at(x, {}, eps)  # stacks kept across steps change nothing
         assert got == pytest.approx(expect, rel=1e-13, abs=1e-300)
         brute = 0.0
         for k, c in enumerate(chain.c):
@@ -176,6 +188,81 @@ def test_term_chain_collapses_the_lattice():
         assert chain.bound_beyond(x) == pytest.approx(brute, rel=1e-13)
         chain = chain.step()
     assert math.isfinite(brute)
+
+
+@pytest.mark.parametrize("name", ["constant_one", "gaussian"])
+def test_shared_chain_matches_a_fresh_chain_per_eps(name):
+    # one eps-free chain serves every rung: its memoized steps and bounds give
+    # the same boundary terms, bit for bit, as a chain built for each eps
+    p, q, lam, sign = 2.0, 1.5, 1.0, +1
+    X = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
+    a, chi = builtin(name), default_regularizer()
+    shared = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+    for eps in (0.05, 0.005):
+        got = _by_parts_from(shared, X, 1e-14, eps)
+        fresh = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+        assert got[0] is not None and got[1] <= 1e-14
+        assert got == _by_parts_from(fresh, X, 1e-14, eps)
+
+
+def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
+    calls = []
+    value_at = _TermChain.value_at
+
+    def counted(self, *args):
+        calls.append(self.n)
+        return value_at(self, *args)
+
+    monkeypatch.setattr(_TermChain, "value_at", counted)
+    chain = _TermChain(2.0, 1.0, +1, GAUSS, default_regularizer(), 0.5, [1.0 + 0.0j], ja=0)
+    # at X = 4 the least bound is about 2.5e-6, far above 1e-14
+    value, bound = _by_parts_from(chain, 4.0, 1e-14, 0.05)
+    assert value is None and 1e-14 < bound < math.inf
+    assert calls == []
+    # where it certifies, every step up to the stop step is evaluated once
+    value, bound = _by_parts_from(chain, 12.0, 1e-14, 0.05)
+    assert value is not None and bound <= 1e-14
+    assert calls == list(range(len(calls))) and calls
+
+
+@pytest.mark.parametrize("name", ["constant_one", "gaussian"])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_epsilon_path_integrates_once_per_rung(monkeypatch, p, name):
+    # the tail starts where the chain certifies, so no rung needs a chunk
+    # extension beyond its direct zone
+    calls = []
+    adaptive_ = quad_mod.adaptive
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return adaptive_(*args, **kw)
+
+    monkeypatch.setattr(quad_mod, "adaptive", counted)
+    monkeypatch.setattr(osc_mod, "adaptive", counted)
+    epsilon_regularized(p, 1.0, +1, 1.0, builtin(name), default_regularizer())
+    assert len(calls) == len(default_eps_ladder(p, 1.0))
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 1e3])
+@pytest.mark.parametrize("p", [0.3, 0.5])
+def test_default_eps_ladder_small_powers(p, lam):
+    # the default ladder sets the phase at x = 1/eps, lam eps^(-p), so small
+    # powers reach the limit too; judged within the ladder's own spread budget
+    q = 0.25
+    expect = generalized_fresnel(p, q, +1).value * lam ** (-q / p)
+    v = epsilon_regularized(p, q, +1, lam, ONE, default_regularizer())
+    assert abs(v - expect) <= 1e-4 * max(1.0, abs(expect))
+
+
+def test_default_eps_ladder_shape():
+    # today's fixed ladder where it already puts the phase past 400 (p = 2,
+    # lam = 1, up to rounding) and at large lam; strictly decreasing always
+    for p, lam in ((2.0, 1.0), (3.0, 1e3)):
+        assert default_eps_ladder(p, lam) == pytest.approx(DEFAULT_EPS_LADDER, rel=1e-15)
+    for p in (0.3, 0.7, 1.0, 2.0, 4.0):
+        for lam in (1e-3, 1.0, 1e3):
+            ladder = default_eps_ladder(p, lam)
+            assert all(0.0 < e2 < e1 < 1.0 for e1, e2 in zip(ladder, ladder[1:]))
 
 
 def test_epsilon_ladder_validation():
