@@ -531,7 +531,7 @@ def default_eps_ladder(p: float, lam: float) -> tuple:
     (or more, where the cap binds) for every p and lam.
     """
     ratios = (lam / (400.0 * 100.0 ** (k / 7.0)) for k in range(len(DEFAULT_EPS_LADDER)))
-    # compared as powers, so a rung that the cap replaces is never computed
+    # compared as powers: (lam/Phi_k)^(1/p) can overflow where the cap binds
     ladder = tuple(cap if r >= cap**p else r ** (1.0 / p)
                    for r, cap in zip(ratios, DEFAULT_EPS_LADDER))
     if ladder[-1] < sys.float_info.min:
