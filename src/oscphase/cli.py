@@ -249,9 +249,7 @@ def _cmd_oscint(args, stream) -> int:
     if args.method == "eps":
         if args.p is None:
             raise DomainError("--method eps needs --p (and optionally --q)")
-        ladder = (
-            tuple(float(t) for t in args.eps_ladder.split(",")) if args.eps_ladder else None
-        )
+        ladder = tuple(float(t) for t in args.eps_ladder.split(",")) if args.eps_ladder else None
         chi = args.chi or default_regularizer()
         v = epsilon_regularized(args.p, args.q, args.sign, args.lam, amp, chi, ladder, cfg)
         _emit(_complex_fields(v), args.format, stream)

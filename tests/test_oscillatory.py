@@ -255,7 +255,7 @@ def test_default_eps_ladder_small_powers(p, lam):
 
 
 def test_default_eps_ladder_shape():
-    # today's fixed ladder where it already puts the phase past 400 (p = 2,
+    # the fixed ladder where it already puts the phase past 400 (p = 2,
     # lam = 1, up to rounding) and at large lam; strictly decreasing always
     for p, lam in ((2.0, 1.0), (3.0, 1e3)):
         assert default_eps_ladder(p, lam) == pytest.approx(DEFAULT_EPS_LADDER, rel=1e-15)
