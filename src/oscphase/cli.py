@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .amplitudes import builtin, default_regularizer, rational_regularizer
@@ -41,6 +42,8 @@ from .verification import SUITES, run_suites
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 3
 _CONVERGENCE_EXIT = 4
+# a negative number, exponent included: argparse's own pattern reads "-1e-3" as an option
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 def _fmt(x) -> str:
@@ -206,6 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_quad_flags(sw)
     _add_common(sw)
 
+    for parser in sub.choices.values():
+        parser._negative_number_matcher = _NEGATIVE_NUMBER
     return ap
 
 

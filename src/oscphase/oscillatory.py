@@ -5,9 +5,9 @@ abscissa X into a compact part over [0, X] (Filon quadrature after t = x^p,
 exact in the oscillation) and a tail over [X, inf) finished by an exact
 repeated integration-by-parts recursion: the adjoint operator L* applied
 until the boundary terms plus a certified envelope remainder meet the
-tolerance, or, failing that, one more quadrature chunk and a retry from its
-end. Large exponents q are first peeled off by the ladder identity when that
-predicts less roundoff than the direct split.
+tolerance, with X doubled until they do. Large exponents q are first peeled
+off by the ladder identity when that predicts less roundoff than the direct
+split.
 
 The epsilon-regularization path and the rotated-contour real-integral path
 are independent implementations used to cross-validate the closed forms.
@@ -36,11 +36,9 @@ from .quadrature import (
     adaptive,
     corner_graded,
     osc_power_integral,
-    phase_breakpoints,
 )
 
 _EPS = 2.2e-16
-_CHUNK_MAX_PHASE = 2.0e4 * math.pi  # per quadrature extension chunk
 _FAR_STEP_CAP = 70
 _TAIL_TOL = 1e-14  # least remainder bound the far-tail recursion aims for
 
@@ -108,8 +106,8 @@ class _TermChain:
     Nothing here depends on eps: the coefficients follow from p, lam and the
     exponents, and bound_beyond uses chi's constants, which are uniform in
     0 < eps < 1. Only value_at reads eps, so one chain serves every rung of
-    an eps ladder; its steps and bounds are memoized, and every step shares
-    the envelope weight rows.
+    an eps ladder; its steps and the envelope sums behind its bounds are
+    memoized, and every step shares the envelope weight rows.
     """
 
     def __init__(self, p, lam, sign, amp, chi, e_base, c, n=0, ja=None, weights=None):
@@ -124,7 +122,7 @@ class _TermChain:
         self.ja = len(c) - 1 if ja is None else ja
         self.weights = [] if weights is None else weights
         self._next = None
-        self._bounds: dict = {}
+        self._mass = None  # [(net exponent, weight)] of the envelope sum
 
     def step(self) -> "_TermChain":
         if self._next is not None:
@@ -190,22 +188,20 @@ class _TermChain:
 
     def bound_beyond(self, x: float) -> float:
         """Envelope bound of the chain's integral over [x, inf), for every eps."""
-        if x in self._bounds:
-            return self._bounds[x]
-        e0 = self.e_base - self.p * self.n + self.amp.tau
-        mass: dict = {}
-        for c, row in zip(self.c, self._weight_rows()):
-            if c != 0.0:
-                for s, w in row.items():
-                    mass[s] = mass.get(s, 0.0) + abs(c) * w
+        if self._mass is None:
+            e0 = self.e_base - self.p * self.n + self.amp.tau
+            mass: dict = {}
+            for c, row in zip(self.c, self._weight_rows()):
+                if c != 0.0:
+                    for s, w in row.items():
+                        mass[s] = mass.get(s, 0.0) + abs(c) * w
+            self._mass = [(e0 + s, m) for s, m in mass.items()]
         total = 0.0
-        for s, m in mass.items():
-            e_net = e0 + s
+        for e_net, m in self._mass:
             if e_net >= -1.0:
                 total = math.inf
                 break
             total += m * x ** (e_net + 1.0) / (-e_net - 1.0)
-        self._bounds[x] = total
         return total
 
     def order_budget_ok(self) -> bool:
@@ -231,8 +227,8 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
     <= tol, or, when a bound exceeds 10x the best so far or the derivative
     orders run out, settles for the step with the smallest bound. Returns
     (value, remainder_bound) with value the boundary terms up to that step at
-    chi(eps x); value is None when the bound does not reach tol, and then no
-    boundary term is evaluated.
+    chi(eps x). value is None when the bound does not reach tol (then no
+    boundary term is evaluated) or when a boundary term leaves double range.
     """
     bounds = []
     best = 0
@@ -256,46 +252,34 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
     total = 0.0 + 0.0j
     memo: dict = {}
     link = chain
-    for n in range(best):
-        try:
-            term = -phase * link.value_at(X, memo, eps) / (s * 1j * lam * p * X ** (p - 1.0))
-        except OverflowError:
-            term = math.inf
-        if not cmath.isfinite(term):
-            # a boundary term beyond double range: the chunk extension takes over
-            return None, min(bounds[: n + 1])
-        total += term
-        link = link.step()
+    # far out the amplitude's stack may overflow: a term is then inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(best):
+            try:
+                term = -phase * link.value_at(X, memo, eps) / (s * 1j * lam * p * X ** (p - 1.0))
+            except OverflowError:
+                term = math.inf
+            if not cmath.isfinite(term):
+                return None, min(bounds[: n + 1])
+            total += term
+            link = link.step()
     return total, bounds[best]
 
 
-def _finish_tail(chain, f, X, value, err, nodes, tol, abs_tol, rel_tol, cfg, what, eps=0.0):
-    """Add the integral of f = e^(phase) * chain over [X, inf) to (value, err, nodes).
+def _tail(chain: _TermChain, X: float, eps: float = 0.0):
+    """Boundary-term recursion over [X, inf) from the first of X, 2X, 4X, ...
+    where it certifies: the remainder bound reaches _TAIL_TOL and every
+    boundary term is finite. Returns (X, value, bound).
 
-    Tries the boundary-term recursion from X; whenever it cannot certify the
-    remainder below tol, integrates f over one more chunk of at most
-    _CHUNK_MAX_PHASE phase and retries from the chunk's end. Returns
-    (value, err, nodes, X) with X the abscissa the recursion started from.
-    The chunk ends depend on p, lam and X only, so the chains of every rung
-    of an eps ladder meet the same abscissas and reuse their bounds there.
+    The abscissas depend on the starting X only, so the rungs of an eps
+    ladder walk the same ones on the chain's memoized steps.
     """
-    p, lam = chain.p, chain.lam
-    for _ in range(60):
-        far_val, far_bound = _by_parts_from(chain, X, tol, eps)
-        if far_bound <= tol:
-            return value + far_val, err + far_bound, nodes, X
-        x_next = min(2.0 * X, (X**p + _CHUNK_MAX_PHASE / lam) ** (1.0 / p))
-        if x_next <= X * (1.0 + 1e-9):
-            x_next = 2.0 * X
-        res = adaptive(
-            f, phase_breakpoints(X, x_next, p, lam), abs_tol, rel_tol,
-            cfg.max_nodes - nodes,
-        )
-        value += res.value
-        err += res.est_error
-        nodes += res.nodes_used
-        X = x_next
-    raise BudgetError(f"{what} did not certify by X={X:.3e}")
+    while X < math.inf:
+        value, bound = _by_parts_from(chain, X, _TAIL_TOL, eps)
+        if value is not None:
+            return X, value, bound
+        X *= 2.0
+    raise OverflowError("tail abscissa overflowed double precision")
 
 
 # ----------------------------------------------------------------------
@@ -324,8 +308,9 @@ def os_integral_halfline(
 ) -> QuadratureReport:
     """Os-integral of e^(sign i lam x^p) x^(q-1) a(x) over (0, inf).
 
-    Compact part over [0, X] plus the boundary-term recursion from X, with
-    X = max(cutoff_radius, (40/(lam p))^(1/p)): there lam p X^p >= 40, the
+    Boundary-term recursion from X plus the compact part over [0, X]. X is
+    the first of X0, 2 X0, 4 X0, ... where the recursion certifies, from
+    X0 = max(cutoff_radius, (40/(lam p))^(1/p)): there lam p X0^p >= 40, the
     factor a boundary-term step gains.
     """
     cfg = cfg or QuadratureConfig()
@@ -350,22 +335,14 @@ def os_integral_halfline(
     abs_tol = 0.3 * cfg.abs_tol
     rel_tol = 0.3 * cfg.rel_tol
 
+    X, far_val, far_bound = _tail(
+        _TermChain(p, lam, sign, a, None, q - 1.0, [1.0 + 0.0j], ja=0), X)
     compact = _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol)
-    tol_far = max(_TAIL_TOL, 1e-16 * max(abs(compact.value), cfg.abs_tol))
-
-    def f(x):
-        return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * a.deriv_stack(x, 0)[0]
-
-    value, err, nodes, X = _finish_tail(
-        _TermChain(p, lam, sign, a, None, q - 1.0, [1.0 + 0.0j], ja=0), f, X,
-        compact.value, compact.est_error, compact.nodes_used, tol_far, abs_tol, rel_tol,
-        cfg, "tail truncation",
-    )
-    value = _ensure_finite(value, "half-line integral")
+    value = _ensure_finite(compact.value + far_val, "half-line integral")
     return QuadratureReport(
         value=value,
-        est_error=err + 5.0 * _EPS * abs(value),
-        nodes_used=nodes,
+        est_error=compact.est_error + far_bound + 5.0 * _EPS * abs(value),
+        nodes_used=compact.nodes_used,
         ibp_depth_used=dp.l_pq,
         tail_cut=X,
     )
@@ -438,8 +415,8 @@ def os_integral_fullline(
 def _eps_single(chain, q, eps, X0, cfg) -> complex:
     """Absolutely convergent integral with the regularizer chi(eps x) inserted.
 
-    GL panels over [0, X0], then the shared eps-free chain's boundary terms
-    from X0 evaluated at chi(eps x).
+    The shared eps-free chain's boundary terms from X >= X0 (see _tail),
+    evaluated at chi(eps x), then GL panels over [0, X].
     """
     p, lam, sign, a, chi = chain.p, chain.lam, chain.sign, chain.amp, chain.chi
     abs_tol = 0.25 * cfg.abs_tol
@@ -448,19 +425,11 @@ def _eps_single(chain, q, eps, X0, cfg) -> complex:
     def weight(x):
         return a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
 
+    X, far_val, _ = _tail(chain, X0, eps)
     res = osc_power_integral(
-        weight, 0.0, X0, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
+        weight, 0.0, X, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
     )
-    tol_far = max(_TAIL_TOL, 1e-16 * max(abs(res.value), 1.0))
-
-    def f_far(x):
-        return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * weight(x)
-
-    value, _, _, _ = _finish_tail(
-        chain, f_far, X0, res.value, res.est_error, res.nodes_used,
-        tol_far, abs_tol, rel_tol, cfg, "epsilon-path tail", eps,
-    )
-    return value
+    return res.value + far_val
 
 
 def neville_at_zero(ts, vs):
@@ -494,8 +463,8 @@ def epsilon_regularized(
     ):
         raise DomainError("eps ladder must be strictly decreasing within (0, 1)")
 
-    # the tail starts where lam p X0^p >= 40 * 2^p, i.e. where the chain's
-    # bound, uniform in eps, certifies without a chunk extension
+    # the tail starts where lam p X0^p >= 40 * 2^p, where the chain's bound,
+    # uniform in eps, mostly certifies at once
     try:
         X0 = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
     except OverflowError:

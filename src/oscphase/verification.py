@@ -282,13 +282,15 @@ def check_structural_invariants() -> CheckResult:
     out.row(worst <= 1e-14, f"c~ odd-term vanishing (even m): max {worst:.2e} <= 1e-14")
 
     for p, q, lam, a in ((2.0, 1.0, 1.0, one), (0.7, 2.7, 1.0, one), (2.0, 1.0, 4.0, gauss)):
-        # split abscissae x0 and 2 x0, with x0 the smallest the half line takes here
-        x0 = max(1.5, (40.0 / (lam * p)) ** (1.0 / p))
-        r_small = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=x0))
+        # the half line's own split abscissa x0 against one from at least 2 x0
+        r_small = os_integral_halfline(p, q, +1, lam, a)
+        x0 = r_small.tail_cut
         r_big = os_integral_halfline(p, q, +1, lam, a, QuadratureConfig(cutoff_radius=2.0 * x0))
         d = abs(r_small.value - r_big.value)
         budget = 10.0 * (r_small.est_error + r_big.est_error)
-        out.row(d <= budget, f"cutoff independence p={p} q={q}: {d:.2e} <= {budget:.2e}")
+        out.row(d <= budget and r_big.tail_cut != x0,
+                f"cutoff independence p={p} q={q} X={x0:.3g},{r_big.tail_cut:.3g}: "
+                f"{d:.2e} <= {budget:.2e}")
 
     v_g = epsilon_regularized(2.0, 1.0, +1, 1.0, one, default_regularizer())
     v_r = epsilon_regularized(2.0, 1.0, +1, 1.0, one, rational_regularizer())

@@ -197,6 +197,33 @@ def test_bad_tolerance_exit_code(capsys, argv):
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    "oscint --halfline --p 2 --lambda -1e-3",
+    "oscint --halfline --p 2 --lambda=-1e-3",
+    "oscint --halfline --p 2 --abs-tol -1e-3",
+    "oscint --halfline --p 2 --abs-tol=-1e-3",
+    "oscint --halfline --p 2 --q -2.5E+1",
+    "sweep --from 1 --to 2 --points 2 --halfline --p 2 --rel-tol -1e-3",
+])
+def test_negative_exponent_is_a_domain_error(capsys, argv):
+    # a negative number with an exponent is a value, not an unknown option
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tail_abscissa_overflow_exit_code(capsys):
+    # at p = 0.1 and q = 0.5, wherever the remainder bound certifies, some
+    # boundary term multiplies a power of X beyond double range by a Gaussian
+    # derivative that underflows to 0; the NaN makes X double out of range
+    code = main(["oscint", "--halfline", "--p", "0.1", "--q", "0.5", "--lambda", "0.01",
+                 "--amplitude", "polynomial(1,0,1)*gaussian"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == "" and err == "error: tail abscissa overflowed double precision\n"
+
+
 def test_split_abscissa_overflow_exit_code(capsys):
     # at p = 0.1 and lambda = 1e-30 the split abscissa (40/(lambda p))^(1/p)
     # is beyond double range

@@ -312,6 +312,82 @@ def test_split_abscissa_independence(p, q, lam, name):
         assert abs(rep.value - reps[0].value) <= rep.est_error + reps[0].est_error
 
 
+# the half-line cases of the lambda grid 10^(k/2) where X0 = max(2, (40/(lam p))^(1/p))
+# does not certify and the tail doubles X
+_DOUBLING_CASES = (
+    [(1.5, q, lam, "constant_one") for q in (0.5, 1.0, 2.0) for lam in (1.0, 10**0.5, 10.0)]
+    + [(p, q, lam, "constant_one") for p in (2.0, 3.0) for q in (0.5, 1.0, p + 0.5)
+       for lam in (1.0, 10**0.5)]
+    + [(2.0, 1.0, lam, "gaussian") for lam in (1.0, 10**0.5)]
+)
+
+
+def test_halfline_tail_integrates_nothing(monkeypatch):
+    # the tail is the boundary-term recursion alone, from a doubled X where
+    # X0 does not certify; the compact part is Filon
+    calls = []
+    adaptive_ = quad_mod.adaptive
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return adaptive_(*args, **kw)
+
+    monkeypatch.setattr(quad_mod, "adaptive", counted)
+    monkeypatch.setattr(osc_mod, "adaptive", counted)
+    for p, q, lam, name in _DOUBLING_CASES:
+        rep = os_integral_halfline(p, q, +1, lam, builtin(name))
+        if name == "gaussian":
+            expect = 0.5 * math.gamma(q / 2.0) * (1.0 - 1j * lam) ** (-q / 2.0)
+        else:
+            expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+        assert rep.tail_cut > max(2.0, (40.0 / (lam * p)) ** (1.0 / p))
+        assert abs(rep.value - expect) <= rep.est_error, (p, q, lam, name)
+    assert len(_DOUBLING_CASES) == 23 and calls == []
+
+
+def _small_power_reference(name, q, lam, p=0.1):
+    """Os-integral of e^(i lam x^p) x^(q-1) a(x) over (0, inf) as a series in lam.
+
+    Gaussian: term by term, int x^(q+pn-1) e^(-x^2) dx = Gamma((q+pn)/2)/2.
+    (1+x^2)^(-1): the residues of the Mellin-Barnes integrand
+    p^-1 Gamma(s/p) lam^(-s/p) e^(i pi s/(2p)) pi/(2 sin(pi (q-s)/2)) at
+    s = -p n and at s = q - 2k (neither may coincide).
+    """
+    if name == "gaussian":
+        return sum((1j * lam) ** n / math.factorial(n) * math.gamma((q + p * n) / 2.0) / 2.0
+                   for n in range(60))
+    series = sum((1j * lam) ** n / math.factorial(n) * math.pi
+                 / (2.0 * math.sin(math.pi * (q + p * n) / 2.0)) for n in range(60))
+    return series - sum(
+        (-1) ** k / p * math.gamma((q - 2 * k) / p) * lam ** ((2 * k - q) / p)
+        * cmath.exp(1j * math.pi * (q - 2 * k) / (2.0 * p)) for k in range(1, 4))
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.01, 1.0])
+def test_small_power_tail_is_honest(lam):
+    # at p = 0.1 the tail starts at X0 ~ 1e26..1e56; for the Gaussian the
+    # remainder bound there stays above tolerance, and X doubles until it
+    # certifies
+    p = 0.1
+    rep = os_integral_halfline(p, 0.05, +1, lam, ONE)
+    expect = lam ** (-0.05 / p) * generalized_fresnel(p, 0.05, +1).value
+    assert abs(rep.value - expect) <= rep.est_error
+    for q in (0.05, 0.25):
+        rep = os_integral_halfline(p, q, +1, lam, builtin("rational_decay(1)"))
+        expect = _small_power_reference("rational_decay(1)", q, lam)
+        assert abs(rep.value - expect) <= rep.est_error, q
+    rep = os_integral_halfline(p, 0.05, +1, lam, GAUSS)
+    assert abs(rep.value - _small_power_reference("gaussian", 0.05, lam)) <= rep.est_error
+
+
+@pytest.mark.parametrize("p", [20.0, 33.0])
+def test_large_power_tail_is_honest(p):
+    for lam in (1e-3, 1.0, 1e3):
+        rep = os_integral_halfline(p, 0.5, +1, lam, ONE)
+        expect = lam ** (-0.5 / p) * generalized_fresnel(p, 0.5, +1).value
+        assert abs(rep.value - expect) <= rep.est_error, lam
+
+
 def _flat_amplitude(delta: float) -> Amplitude:
     def stack(x, order):
         out = np.zeros((order + 1, x.size))
