@@ -1,59 +1,34 @@
-"""Amplitude class with certified growth envelopes; regularizers.
+"""Amplitude class with closed-form growth envelopes; regularizers.
 
 An amplitude a lives in the class with parameters (tau, delta) when
 |a^(k)(x)| <= C_k <x>^(tau + delta k) for every k, where <x> = sqrt(1+x^2).
-Built-ins ship exact derivative recurrences plus sampled envelope constants;
-the constants are upper bounds used by the certified tail truncation, so they
-carry a small safety margin. A miss at order k fills every missing order up to
-about 2k from one grid stack; a stack's rows do not depend on its order, so
-the constants do not depend on the order in which they are asked for.
+Built-ins carry exact derivative recurrences and closed-form constants C_k,
+each proved where it is computed: the tail recursion's remainder bound, the
+ladder test and the Filon corner need them to be true bounds.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import OrderError, UnknownAmplitude
 from .jets import derivs_to_jet, jet_to_derivs
 
-_ENVELOPE_MARGIN = 1.05
-_ENVELOPE_GRID = np.linspace(-60.0, 60.0, 12001)
-
-
-def _hypot1(x: np.ndarray) -> np.ndarray:
-    return np.sqrt(1.0 + np.asarray(x, dtype=float) ** 2)
-
-
-_ENVELOPE_HYPOT = _hypot1(_ENVELOPE_GRID)
-
-
-def _fill_envelopes(cache: dict, k: int, max_order: int, stack, sup) -> None:
-    """Fill the missing cache orders up to about 2k from one grid stack.
-
-    sup(|d|, m) is the weighted sup of row m; a row that is zero everywhere on
-    the grid gets 0 without it. Past max_order, stack raises OrderError.
-    """
-    top = max(k, min(2 * k, max_order))
-    rows = stack(_ENVELOPE_GRID, top)
-    for m in range(top + 1):
-        if m not in cache:
-            d = rows[m]
-            cache[m] = sup(np.abs(d), m) * _ENVELOPE_MARGIN if d.any() else 0.0
-
 
 @dataclass(frozen=True)
 class Amplitude:
-    """Derivative oracle with a certified (tau, delta) growth envelope.
+    """Derivative oracle with a (tau, delta) growth envelope.
 
     deriv_stack(x, order) returns [a(x), a'(x), ..., a^(order)(x)] as an
     array of shape (order+1, len(x)); deriv(k, x) is the scalar-order view.
-    deriv_bound(k) bounds sup_x <x>^(-tau-delta k) |a^(k)(x)| (0 for vanishing orders).
-    _bound_source (b, j) makes deriv_bound(k) read b.deriv_bound(k + j).
+    bound(k) is a proved C_k with |a^(k)(x)| <= C_k <x>^(tau+delta k) (0 for
+    vanishing orders); deriv_bound(k) is bound(k) for k <= max_order.
     """
 
     name: str
@@ -61,15 +36,17 @@ class Amplitude:
     delta: float
     max_order: int
     _stack: Callable[[np.ndarray, int], np.ndarray]
-    _bound_cache: dict = field(default_factory=dict, compare=False)
-    _bound_source: Optional[tuple] = field(default=None, compare=False)
+    bound: Callable[[int], float]
 
-    def deriv_stack(self, x, order: int) -> np.ndarray:
+    def _check_order(self, order: int) -> None:
         if order > self.max_order:
             raise OrderError(
                 f"amplitude {self.name!r} supports derivatives up to "
                 f"{self.max_order}, requested {order}"
             )
+
+    def deriv_stack(self, x, order: int) -> np.ndarray:
+        self._check_order(order)
         return self._stack(np.asarray(x, dtype=float), order)
 
     def deriv(self, k: int, x):
@@ -79,15 +56,41 @@ class Amplitude:
 
     def deriv_bound(self, k: int) -> float:
         """Envelope constant: |a^(k)(x)| <= deriv_bound(k) * <x>^(tau+delta k)."""
-        if self._bound_source is not None:
-            a, j = self._bound_source
-            return a.deriv_bound(k + j)
-        if k not in self._bound_cache:
-            _fill_envelopes(
-                self._bound_cache, k, self.max_order, self.deriv_stack,
-                lambda ad, m: float(np.max(ad / _ENVELOPE_HYPOT ** (self.tau + self.delta * m))),
-            )
-        return self._bound_cache[k]
+        self._check_order(k)
+        return self.bound(k)
+
+
+def _gauss_weight_sup(n: int) -> float:
+    # sup_x <x>^n e^(-x^2/2): reached at <x>^2 = n for n > 1, else at x = 0
+    return math.exp(0.5 * n * math.log(n) - 0.5 * (n - 1)) if n > 1 else 1.0
+
+
+@functools.lru_cache(maxsize=4096)
+def _poly_gaussian_bound(coeffs: tuple, k: int) -> float:
+    """C_k of P(x) e^(-x^2), P = sum c_m x^m of degree d, in the class (d, -1).
+
+    Leibniz: (P g)^(k) = sum_i binom(k,i) P^(i) g^(k-i), |x|^(m-i) <= <x>^(m-i),
+    and Cramer's inequality (Abramowitz & Stegun 22.14.17) gives
+    |g^(j)| = |H_j| e^(-x^2) <= 1.086435 2^(j/2) sqrt(j!) e^(-x^2/2); the weight
+    <x>^(k-d) leaves sup <x>^(m-i-d+k) e^(-x^2/2). The gaussian is c = (1,).
+    """
+    deg, total = len(coeffs) - 1, 0.0
+    for i in range(min(k, deg) + 1):
+        g = math.comb(k, i) * 1.086435 * 2.0 ** ((k - i) / 2) * math.sqrt(math.factorial(k - i))
+        total += sum(abs(c) * math.perm(m, i) * g * _gauss_weight_sup(m - i - deg + k)
+                     for m, c in enumerate(coeffs[i:], i) if c)
+    return total
+
+
+def _rational_bound(s: float, k: int) -> float:
+    """C_k = (2s)_k of (1+x^2)^(-s), in the class (-2s, -1).
+
+    (1+x^2)^(-s) = (x-i)^(-s) (x+i)^(-s) for real x, and d^j (x -+ i)^(-s) has
+    modulus (s)_j <x>^(-s-j). Leibniz and Vandermonde's identity
+    sum_j binom(k,j) (s)_j (s)_(k-j) = (2s)_k give C_k, which is sharp: it is
+    the limit of |a^(k)(x)| <x>^(2s+k) as x -> inf.
+    """
+    return float(math.prod(2.0 * s + i for i in range(k)))
 
 
 def _constant_stack(x: np.ndarray, order: int) -> np.ndarray:
@@ -133,10 +136,12 @@ def _poly_gaussian_stack(x: np.ndarray, order: int, coeffs: tuple) -> np.ndarray
     return jet_to_derivs(out)
 
 
-_RATIONAL_RE = re.compile(r"^rational_decay\(\s*([0-9.eE+-]+)\s*\)$")
-_POLYGAUSS_RE = re.compile(r"^polynomial\(\s*([0-9.eE+,\s-]+)\)\s*\*\s*gaussian$")
+_NUM = r"\s*[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?\s*"
+_RATIONAL_RE = re.compile(rf"^rational_decay\(({_NUM})\)$")
+_POLYGAUSS_RE = re.compile(rf"^polynomial\(({_NUM}(?:,{_NUM})*)\)\s*\*\s*gaussian$")
 
 _MAX_ORDER = 60
+_GAUSSIAN_BOUND = functools.partial(_poly_gaussian_bound, (1.0,))
 
 
 def builtin(name: str) -> Amplitude:
@@ -144,26 +149,31 @@ def builtin(name: str) -> Amplitude:
     polynomial(c0,...,cd)*gaussian."""
     name = name.strip()
     if name == "constant_one":
-        return Amplitude("constant_one", 0.0, -1.0, _MAX_ORDER, _constant_stack)
+        return Amplitude("constant_one", 0.0, -1.0, _MAX_ORDER, _constant_stack,
+                         lambda k: float(k == 0))
     if name == "gaussian":
-        return Amplitude("gaussian", 0.0, -1.0, _MAX_ORDER, _gaussian_stack)
+        return Amplitude("gaussian", 0.0, -1.0, _MAX_ORDER, _gaussian_stack, _GAUSSIAN_BOUND)
     m = _RATIONAL_RE.match(name)
     if m:
         s = float(m.group(1))
-        if s <= 0:
-            raise UnknownAmplitude(f"rational_decay needs s > 0, got {s}")
+        if not 0 < s < math.inf:
+            raise UnknownAmplitude(f"rational_decay needs a finite s > 0, got {s}")
         return Amplitude(
             f"rational_decay({s:g})", -2.0 * s, -1.0, _MAX_ORDER,
             lambda x, order, s=s: _rational_stack(x, order, s),
+            functools.partial(_rational_bound, s),
         )
     m = _POLYGAUSS_RE.match(name)
     if m:
         coeffs = tuple(float(c) for c in m.group(1).split(","))
+        if not all(map(math.isfinite, coeffs)):
+            raise UnknownAmplitude(f"polynomial coefficients must be finite, got {coeffs}")
         deg = len(coeffs) - 1
         return Amplitude(
             f"polynomial({','.join('%g' % c for c in coeffs)})*gaussian",
             float(deg), -1.0, _MAX_ORDER,
             lambda x, order, coeffs=coeffs: _poly_gaussian_stack(x, order, coeffs),
+            functools.partial(_poly_gaussian_bound, coeffs),
         )
     raise UnknownAmplitude(f"unknown amplitude {name!r}")
 
@@ -177,9 +187,7 @@ def reflected(a: Amplitude) -> Amplitude:
             d[k] = -d[k]
         return d
 
-    return Amplitude(
-        f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, _bound_source=(a, 0)
-    )
+    return Amplitude(f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, a.deriv_bound)
 
 
 def derivative_shift(a: Amplitude, j: int) -> Amplitude:
@@ -198,7 +206,7 @@ def derivative_shift(a: Amplitude, j: int) -> Amplitude:
 
     return Amplitude(
         f"D{j}({a.name})", a.tau + a.delta * j, a.delta, a.max_order - j, stack,
-        _bound_source=(a, j),
+        lambda k: a.deriv_bound(k + j),
     )
 
 
@@ -209,25 +217,15 @@ def derivative_shift(a: Amplitude, j: int) -> Amplitude:
 
 @dataclass(frozen=True)
 class RegularizerSpec:
-    """Schwartz-type regularizer chi with chi(0) = 1 and exact derivatives."""
+    """Schwartz-type regularizer chi with chi(0) = 1 and exact derivatives.
+
+    bound(u) is chi's own envelope constant in the class (0, -1).
+    """
 
     name: str
-    decay_class: str
     max_order: int
     _stack: Callable[[np.ndarray, int], np.ndarray]
-    _bound_cache: dict = field(default_factory=dict, compare=False)
-
-    def chi(self, x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._stack(xs, 0)[0]
-        return float(out[0]) if np.ndim(x) == 0 else out
-
-    def chi_deriv(self, k: int, x):
-        if k > self.max_order:
-            raise OrderError(f"regularizer derivatives available up to {self.max_order}")
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        out = self._stack(xs, k)[k]
-        return float(out[0]) if np.ndim(x) == 0 else out
+    bound: Callable[[int], float]
 
     def scaled_stack(self, x, eps: float, order: int) -> np.ndarray:
         """Derivatives in x of chi(eps x): d^k = eps^k chi^(k)(eps x)."""
@@ -239,23 +237,27 @@ class RegularizerSpec:
         return d
 
     def uniform_bound(self, u: int) -> float:
-        """C_u with |d^u/dx^u chi(eps x)| <= C_u <x>^(-u) for all 0 < eps < 1."""
-        if u not in self._bound_cache:
-            _fill_envelopes(
-                self._bound_cache, u, self.max_order, self._stack,
-                lambda ad, m: float(np.max(ad * _ENVELOPE_HYPOT**m)),
-            )
-        return self._bound_cache[u]
+        """C_u with |d^u/dx^u chi(eps x)| <= C_u <x>^(-u) for all 0 < eps <= 1.
+
+        chi's own constant serves: eps^u |chi^(u)(eps x)| <= C_u (eps / <eps x>)^u,
+        and eps <x> <= <eps x>.
+        """
+        return self.bound(u)
 
 
 def default_regularizer() -> RegularizerSpec:
     """chi(x) = exp(-x^2)."""
-    return RegularizerSpec("gaussian", "schwartz", _MAX_ORDER, _gaussian_stack)
+    return RegularizerSpec("gaussian", _MAX_ORDER, _gaussian_stack, _GAUSSIAN_BOUND)
 
 
 def rational_regularizer() -> RegularizerSpec:
-    """chi(x) = (1+x^2)^(-2); slow polynomial decay, for chi-independence checks."""
+    """chi(x) = (1+x^2)^(-2); slow polynomial decay, for chi-independence checks.
+
+    Its C_u = u! (u+2)/2, reached at x = 0 for even u, is from partial fractions:
+    chi = -(i/4)/(x-i) - (1/4)/(x-i)^2 + (i/4)/(x+i) - (1/4)/(x+i)^2, whose u-th
+    derivatives have moduli u!/4 <x>^(-1-u) and (u+1)!/4 <x>^(-2-u).
+    """
     return RegularizerSpec(
-        "rational", "polynomial-decay", _MAX_ORDER,
-        lambda x, order: _rational_stack(x, order, 2.0),
+        "rational", _MAX_ORDER, lambda x, order: _rational_stack(x, order, 2.0),
+        lambda u: math.factorial(u) * (u + 2) / 2,
     )

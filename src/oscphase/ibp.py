@@ -45,10 +45,6 @@ class IbpTable:
     l: int
     rows: tuple
 
-    def exponent(self, j: int) -> float:
-        # x-power of term j at full depth; equals (q-1)-(p-1)l-(l-j)
-        return self.q - 1.0 - self.p * self.l + j
-
 
 _TABLE_CACHE: dict = {}
 

@@ -17,7 +17,7 @@ from oscphase import (
 )
 from oscphase.amplitudes import derivative_shift
 
-# the envelope grid is [-60, 60]; the bounds must hold far beyond it
+# the bounds must hold on [-60, 60] and far beyond it, out to |x| = 1e6
 FAR_XS = np.concatenate([
     np.linspace(-60.0, 60.0, 2401), np.geomspace(60.0, 1e6, 400), -np.geomspace(60.0, 1e6, 400),
 ])
@@ -87,6 +87,59 @@ def test_envelope_holds_beyond_grid(name):
         assert np.all(d[k] <= env + 1e-300), (name, k)
 
 
+def _assert_bounds_sampled_sup(rows, bound, exponent):
+    """bound(k) >= the sup over FAR_XS of |rows[k]| <x>^(-exponent(k)).
+
+    Compared in logs, so the weight cannot overflow. Entries below 1e-290 are
+    skipped: the float recurrences lose their relative precision where they
+    underflow. The 1e-12 is the float oracle's own roundoff, which matters
+    where a constant is sharp.
+    """
+    log_hyp = 0.5 * np.log1p(FAR_XS**2)
+    for k, row in enumerate(rows):
+        c = bound(k)
+        if c == 0.0:
+            assert not row.any(), k
+            continue
+        live = np.abs(row) > 1e-290
+        got = np.log(np.abs(row[live])) - exponent(k) * log_hyp[live]
+        assert np.max(got) <= math.log(c) + 1e-12, k
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["constant_one", "gaussian", "rational_decay(0.5)", "rational_decay(1)",
+     "rational_decay(1.3)", "rational_decay(2.5)", "polynomial(1,0,1)*gaussian",
+     "polynomial(0,1)*gaussian", "polynomial(1,-2,0,0,3)*gaussian"],
+)
+def test_closed_form_constants_bound_sampled_sup(name):
+    a = builtin(name)
+    _assert_bounds_sampled_sup(
+        a.deriv_stack(FAR_XS, a.max_order), a.deriv_bound, lambda k: a.tau + a.delta * k
+    )
+
+
+def test_regularizer_constants_bound_sampled_sup():
+    for chi in (default_regularizer(), rational_regularizer()):
+        _assert_bounds_sampled_sup(
+            chi.scaled_stack(FAR_XS, 1.0, chi.max_order), chi.uniform_bound, lambda u: -u
+        )
+
+
+@pytest.mark.parametrize("s,k", [(0.5, 26), (0.5, 40), (0.5, 60), (1.0, 60), (2.5, 60)])
+def test_rational_decay_constant_holds_far_out(s, k):
+    # |a^(k)(x)| <x>^(2s+k) tends to its sup (2s)_k only as x -> inf: the
+    # derivative recurrence at 80 digits, at x = 1e8
+    with mp.workdps(80):
+        x, sm = mp.mpf("1e8"), mp.mpf(s)
+        w = 1 + x**2
+        y = [w**-sm, -2 * sm * x * w ** (-sm - 1)]
+        for n in range(1, k):
+            y.append(-((2 * n + 2 * sm) * x * y[n] + n * (n - 1 + 2 * sm) * y[n - 1]) / w)
+        weighted = abs(y[k]) * w ** ((2 * sm + k) / 2)
+    assert builtin(f"rational_decay({s})").deriv_bound(k) >= weighted
+
+
 def test_regularizer_envelope_holds_beyond_grid():
     for chi in (default_regularizer(), rational_regularizer()):
         for eps in (0.9, 0.05, 0.005):
@@ -97,7 +150,7 @@ def test_regularizer_envelope_holds_beyond_grid():
 
 
 def _counting(name):
-    """builtin(name) with a counter of its grid-sized stack evaluations."""
+    """builtin(name) with a log of its grid-sized stack evaluations."""
     a = builtin(name)
     calls = []
 
@@ -106,7 +159,7 @@ def _counting(name):
             calls.append(order)
         return a.deriv_stack(x, order)
 
-    return Amplitude(a.name, a.tau, a.delta, a.max_order, stack), calls
+    return Amplitude(a.name, a.tau, a.delta, a.max_order, stack, a.bound), calls
 
 
 @pytest.mark.parametrize("name", ["gaussian", "rational_decay(1.3)", "polynomial(1,0,1)*gaussian"])
@@ -125,21 +178,16 @@ def test_envelope_constants_independent_of_request_order(name):
 
 
 def test_reflected_and_shifted_read_parent_constants():
-    a, calls = _counting("rational_decay(1.3)")
-    for k in range(21):
-        a.deriv_bound(k)
-    n = len(calls)
-    ref = reflected(a)
-    shifted = derivative_shift(a, 3)
-    for k in range(18):
-        assert ref.deriv_bound(k) == a.deriv_bound(k)
-        assert shifted.deriv_bound(k) == a.deriv_bound(k + 3)
-    assert len(calls) == n  # no grid stack of their own
-    assert shifted.tau == a.tau + 3 * a.delta
-    # a fresh shift asks its parent, which fills its own cache
-    b, calls_b = _counting("gaussian")
-    assert derivative_shift(b, 2).deriv_bound(4) == builtin("gaussian").deriv_bound(6)
-    assert b.deriv_bound(6) == builtin("gaussian").deriv_bound(6) and len(calls_b) == 1
+    for name in ("rational_decay(1.3)", "gaussian", "polynomial(1,0,1)*gaussian"):
+        a, calls = _counting(name)
+        parent = builtin(name)
+        ref, shifted = reflected(a), derivative_shift(a, 3)
+        for k in range(a.max_order - 2):
+            assert ref.deriv_bound(k) == parent.deriv_bound(k)
+            assert shifted.deriv_bound(k) == parent.deriv_bound(k + 3)
+        assert ref.deriv_bound(a.max_order) == parent.deriv_bound(a.max_order)
+        assert shifted.tau == a.tau + 3 * a.delta
+        assert calls == []  # no grid stack, of theirs or the parent's
 
 
 def test_deriv_bound_past_max_order_raises():
@@ -163,11 +211,13 @@ def test_reflected_amplitude():
 
 
 def test_regularizer_normalization():
-    for chi in (default_regularizer(), rational_regularizer()):
-        assert chi.chi(0.0) == 1.0
-        assert chi.chi_deriv(1, 0.0) == 0.0
-    assert default_regularizer().chi_deriv(2, 0.0) == -2.0
-    assert rational_regularizer().chi_deriv(2, 0.0) == -4.0
+    at_zero = [chi.scaled_stack(np.zeros(1), 1.0, 2)[:, 0]
+               for chi in (default_regularizer(), rational_regularizer())]
+    for d in at_zero:
+        assert d[0] == 1.0
+        assert d[1] == 0.0
+    assert at_zero[0][2] == -2.0
+    assert at_zero[1][2] == -4.0
 
 
 def test_regularizer_uniform_bound():

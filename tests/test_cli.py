@@ -263,10 +263,16 @@ def test_bad_cutoff_radius_exit_code(capsys, radius):
     "expand --halfline --p nan --N 4",
     "expand --fullline --m 2 --N 4 --lambda nan",
     "fresnel --p 2 --q nan --continued",
+    "oscint --halfline --p 2 --amplitude rational_decay(1e400)",
+    "oscint --halfline --p 2 --amplitude polynomial(1e400)*gaussian",
+    "oscint --halfline --p 2 --amplitude polynomial(1,-1e400)*gaussian",
+    "oscint --halfline --p 2 --amplitude polynomial(1,,2)*gaussian",
+    "oscint --halfline --p 2 --amplitude rational_decay(1e)",
 ])
 def test_non_finite_input_exit_code(capsys, argv):
-    # a NaN or infinite p, q or lambda is a domain error, not a traceback,
-    # a budget error or a NaN answer
+    # a NaN or infinite p, q or lambda is a domain error, and an amplitude
+    # parameter that is malformed or beyond double range an unknown amplitude:
+    # not a traceback, a budget error or a NaN answer
     code = main(argv.split())
     out, err = capsys.readouterr()
     assert code == 3

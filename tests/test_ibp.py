@@ -52,14 +52,6 @@ def test_boundary_closed_forms():
             assert rows[l][l] == 1.0
 
 
-def test_exponent_bookkeeping():
-    t = ibp_coefficients(1.7, 2.3, 5)
-    for j in range(6):
-        e = t.exponent(j)
-        alt = (t.q - 1.0) - (t.p - 1.0) * t.l - (t.l - j)
-        assert e == pytest.approx(alt, abs=1e-12)
-
-
 def test_table_memoized():
     assert ibp_coefficients(2.0, 1.0, 3) is ibp_coefficients(2.0, 1.0, 3)
 

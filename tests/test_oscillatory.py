@@ -164,7 +164,8 @@ def test_term_chain_collapses_the_lattice():
     assert chain.c == pytest.approx([f**5 * c for c in rows[5]], rel=1e-13)
 
     chi = default_regularizer()
-    amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack)
+    # delta = -1/2: the gaussian constants serve, as <x>^(-k) <= <x>^(-k/2)
+    amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack, GAUSS.bound)
     chain = _TermChain(p, lam, sign, amp, chi, q - 1.0, [1.0 + 0.0j], ja=0)
     with mp.workdps(40):  # a * chi_eps = e^(-x^2) e^(-(eps x)^2)
         g = [float(mp.diff(lambda y: mp.e ** (-(1 + eps**2) * y**2), mp.mpf(x), k))
@@ -394,7 +395,7 @@ def _flat_amplitude(delta: float) -> Amplitude:
         out[0] = 1.0
         return out
 
-    return Amplitude("flat", 0.0, delta, 8, stack)
+    return Amplitude("flat", 0.0, delta, 8, stack, ONE.bound)
 
 
 def test_class_error_for_bad_delta():
@@ -404,7 +405,7 @@ def test_class_error_for_bad_delta():
 
 def test_order_error_for_shallow_amplitude():
     shallow = Amplitude("shallow", 0.0, -1.0, 1, lambda x, o: np.vstack(
-        [np.ones(x.size)] + [np.zeros(x.size)] * o) if o else np.ones((1, x.size)))
+        [np.ones(x.size)] + [np.zeros(x.size)] * o) if o else np.ones((1, x.size)), ONE.bound)
     # the integrability depth floor(5/2) + 1 = 3 needs a'' and a'''
     with pytest.raises(OrderError):
         os_integral_halfline(2.0, 5.0, +1, 1.0, shallow)
@@ -456,6 +457,7 @@ def test_order_error_when_depth_unreachable():
         "shallow8", 0.0, -1.0, 8,
         lambda x, o: np.vstack([np.ones(x.size)] + [np.zeros(x.size)] * o)
         if o else np.ones((1, x.size)),
+        ONE.bound,
     )
     with pytest.raises(OrderError):
         os_integral_halfline(0.5, 12.0, +1, 1.0, shallow)
