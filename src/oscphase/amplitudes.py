@@ -190,24 +190,39 @@ def reflected(a: Amplitude) -> Amplitude:
     return Amplitude(f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, a.deriv_bound)
 
 
-def derivative_shift(a: Amplitude, j: int) -> Amplitude:
-    """The amplitude a^(j), living in the class (tau + delta j, delta).
+def ladder_weight(a: Amplitude, row) -> Amplitude:
+    """b(x) = sum_j C_j x^j a^(j)(x) for a row C = C[l, 0..l]; a itself when row = (1,).
 
-    Its order-k envelope constant is a's of order k + j: the class exponent
-    tau + delta j + delta k is a's at order k + j.
+    The ladder identity peels depth l off the half line onto this weight. It
+    has orders 0 and 1 only, in the class (tau + (1+delta) l, delta), with
+    B_0 = sum |C_j| A_j and B_1 = sum |C_j| (j A_j + A_(j+1)); a term with
+    C_j = 0, or A_j = 0 (then a^(j) = 0), is skipped. With |x| <= <x>, <x> >= 1,
+    j <= l and -1 <= delta:
+      |x^j a^(j)| <= A_j <x>^(tau + (1+delta) j) <= A_j <x>^(tau + (1+delta) l);
+      b' = sum_j C_j (j x^(j-1) a^(j) + x^j a^(j+1)), where
+      |j x^(j-1) a^(j)| <= j A_j <x>^(tau + (1+delta) j - 1) and
+      |x^j a^(j+1)| <= A_(j+1) <x>^(tau + (1+delta) j + delta), both at most
+      <x>^(tau + (1+delta) l + delta) times their constant.
     """
-    if j == 0:
+    if tuple(row) == (1.0,):
         return a
-    if j > a.max_order:
-        raise OrderError(f"amplitude {a.name!r} has no derivative of order {j}")
+    l = len(row) - 1
+    live = [(j, c) for j, c in enumerate(row) if c != 0.0 and a.deriv_bound(j) != 0.0]
+    top = max((j for j, _ in live), default=0)
+    b0 = sum(abs(c) * a.deriv_bound(j) for j, c in live)
+    b1 = sum(abs(c) * (j * a.deriv_bound(j) + a.deriv_bound(j + 1)) for j, c in live)
 
     def stack(x, order):
-        return a.deriv_stack(x, order + j)[j:]
+        d = a.deriv_stack(x, top + order)
+        out = np.zeros((order + 1, x.size))
+        for j, c in live:
+            out[0] += c * x**j * d[j]
+            if order:
+                out[1] += c * (x**j * d[j + 1] + (j * x ** (j - 1) * d[j] if j else 0.0))
+        return out
 
-    return Amplitude(
-        f"D{j}({a.name})", a.tau + a.delta * j, a.delta, a.max_order - j, stack,
-        lambda k: a.deriv_bound(k + j),
-    )
+    return Amplitude(f"ladder{l}({a.name})", a.tau + (1.0 + a.delta) * l, a.delta, 1, stack,
+                     lambda k: (b0, b1)[k])
 
 
 # ----------------------------------------------------------------------

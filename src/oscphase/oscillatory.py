@@ -7,7 +7,8 @@ repeated integration-by-parts recursion: the adjoint operator L* applied
 until the boundary terms plus a certified envelope remainder meet the
 tolerance, with X doubled until they do. Large exponents q are first peeled
 off by the ladder identity when that predicts less roundoff than the direct
-split.
+split: the same split then runs once, on exponent q - p l with the weight
+sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l.
 
 The epsilon-regularization path and the rotated-contour real-integral path
 are independent implementations used to cross-validate the closed forms.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import Amplitude, RegularizerSpec, derivative_shift, reflected
+from .amplitudes import Amplitude, RegularizerSpec, ladder_weight, reflected
 from .errors import (
     BudgetError,
     ClassError,
@@ -60,17 +61,8 @@ class QuadratureReport:
     tail_cut: float
 
 
-def _check_config(cfg: QuadratureConfig) -> None:
-    if not 0.0 < cfg.cutoff_radius < math.inf:
-        raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
-    for name, tol in (("rel_tol", cfg.rel_tol), ("abs_tol", cfg.abs_tol)):
-        if not 0.0 <= tol < math.inf:
-            raise DomainError(f"{name} must be finite and non-negative, got {tol}")
-    if not cfg.max_nodes >= 1:
-        raise DomainError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
-
-
-def _check_common(p: float, lam: float, sign: int, a: Amplitude) -> None:
+def _check_common(p: float, q: float, lam: float, sign: int, a: Amplitude,
+                  cfg: QuadratureConfig) -> None:
     if sign not in (+1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign!r}")
     if not 0.0 < p < math.inf:
@@ -81,6 +73,15 @@ def _check_common(p: float, lam: float, sign: int, a: Amplitude) -> None:
         raise ClassError(
             f"amplitude class delta={a.delta} needs delta < p-1 = {p - 1.0}"
         )
+    if not 0.0 < q < math.inf:
+        raise DomainError(f"q must be positive, got {q}")
+    if not 0.0 < cfg.cutoff_radius < math.inf:
+        raise DomainError(f"cutoff radius must be finite and positive, got {cfg.cutoff_radius}")
+    for name, tol in (("rel_tol", cfg.rel_tol), ("abs_tol", cfg.abs_tol)):
+        if not 0.0 <= tol < math.inf:
+            raise DomainError(f"{name} must be finite and non-negative, got {tol}")
+    if not cfg.max_nodes >= 1:
+        raise DomainError(f"max_nodes must be at least 1, got {cfg.max_nodes}")
 
 
 def _ensure_finite(z: complex, what: str) -> complex:
@@ -304,7 +305,6 @@ def _ladder_wins(p, q, lam, a, X, l) -> bool:
 def os_integral_halfline(
     p: float, q: float, sign: int, lam: float, a: Amplitude,
     cfg: QuadratureConfig | None = None,
-    _ladder: bool = True,
 ) -> QuadratureReport:
     """Os-integral of e^(sign i lam x^p) x^(q-1) a(x) over (0, inf).
 
@@ -312,12 +312,14 @@ def os_integral_halfline(
     the first of X0, 2 X0, 4 X0, ... where the recursion certifies, from
     X0 = max(cutoff_radius, (40/(lam p))^(1/p)): there lam p X0^p >= 40, the
     factor a boundary-term step gains.
+
+    When the ladder wins, both parts start at depth l of the recursion: by the
+    ladder identity I(p,q)[a] = (s i/(lam p))^l I(p, q - p l)[b] with
+    b = sum_j C[l,j] x^j a^(j) (ladder_weight), so the compact part integrates
+    b and the tail chain starts from the row C[l]. Otherwise l = 0 and b = a.
     """
     cfg = cfg or QuadratureConfig()
-    _check_common(p, lam, sign, a)
-    if not 0.0 < q < math.inf:
-        raise DomainError(f"q must be positive, got {q}")
-    _check_config(cfg)
+    _check_common(p, q, lam, sign, a, cfg)
     dp = ibp_depth(p, q, a.tau, a.delta)
     try:
         X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
@@ -325,63 +327,27 @@ def os_integral_halfline(
         raise OverflowError("split abscissa overflowed double precision") from None
     # peel depth; one less when the reduced exponent would be tiny (Filon's corner)
     l = dp.l0 - 1 if q - p * dp.l0 < 0.25 * p else dp.l0
-    if l >= 1 and _ladder and a.max_order >= l + 8 and _ladder_wins(p, q, lam, a, X, l):
-        return _reduced_halfline(p, q, sign, lam, a, cfg, l)
-    if dp.l_pq > a.max_order:
-        raise OrderError(
-            f"integrability depth {dp.l_pq} exceeds the amplitude's derivative orders "
-            f"({a.max_order})"
-        )
-    abs_tol = 0.3 * cfg.abs_tol
-    rel_tol = 0.3 * cfg.rel_tol
-
+    if not (l >= 1 and a.max_order >= l + 8 and _ladder_wins(p, q, lam, a, X, l)):
+        l = 0
+        if dp.l_pq > a.max_order:
+            raise OrderError(
+                f"integrability depth {dp.l_pq} exceeds the amplitude's derivative orders "
+                f"({a.max_order})"
+            )
+    row = ibp_coefficients(p, q, l).rows[l]
+    b = ladder_weight(a, row)
+    q_l = q - p * l
     X, far_val, far_bound = _tail(
-        _TermChain(p, lam, sign, a, None, q - 1.0, [1.0 + 0.0j], ja=0), X)
-    compact = _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol)
-    value = _ensure_finite(compact.value + far_val, "half-line integral")
+        _TermChain(p, lam, sign, a, None, q_l - 1.0, [complex(c) for c in row], ja=l), X)
+    compact = _filon_compact(p, q_l, sign, lam, b, X, cfg, 0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol)
+    pref = (sign * 1j / (lam * p)) ** l
+    value = _ensure_finite(pref * (compact.value + far_val), "half-line integral")
     return QuadratureReport(
         value=value,
-        est_error=compact.est_error + far_bound + 5.0 * _EPS * abs(value),
+        est_error=abs(pref) * (compact.est_error + far_bound) + 5.0 * _EPS * abs(value),
         nodes_used=compact.nodes_used,
-        ibp_depth_used=dp.l_pq,
+        ibp_depth_used=l + ibp_depth(p, q_l, b.tau, b.delta).l_pq,
         tail_cut=X,
-    )
-
-
-def _reduced_halfline(
-    p: float, q: float, sign: int, lam: float, a: Amplitude,
-    cfg: QuadratureConfig, l0: int,
-) -> QuadratureReport:
-    """Ladder identity: I(p,q)[a] = (s i/(lam p))^l0 sum_j C[l0,j] I(p, q-p l0 + j)[a^(j)].
-
-    The sub-integrals take the direct split: for p <= 1 a nested ladder would
-    not lower the largest exponent, only differentiate a further.
-    """
-    rows = ibp_coefficients(p, q, l0).rows
-    pref = (sign * 1j / (lam * p)) ** l0
-    value = 0.0 + 0.0j
-    est = 0.0
-    nodes = 0
-    depth = 0
-    cut = cfg.cutoff_radius
-    for j, c in enumerate(rows[l0]):
-        if c == 0.0 or a.deriv_bound(j) == 0.0:
-            continue
-        sub = os_integral_halfline(
-            p, q - p * l0 + j, sign, lam, derivative_shift(a, j), cfg,
-            _ladder=False,
-        )
-        value += c * sub.value
-        est += abs(c) * abs(pref) * sub.est_error
-        nodes += sub.nodes_used
-        depth = max(depth, sub.ibp_depth_used)
-        cut = max(cut, sub.tail_cut)
-    return QuadratureReport(
-        value=_ensure_finite(pref * value, "half-line integral"),
-        est_error=est + 5.0 * _EPS * abs(pref * value),
-        nodes_used=nodes,
-        ibp_depth_used=l0 + depth,
-        tail_cut=cut,
     )
 
 
@@ -453,10 +419,7 @@ def epsilon_regularized(
     ladder defaults to default_eps_ladder(p, lam).
     """
     cfg = cfg or QuadratureConfig()
-    _check_common(p, lam, sign, a)
-    if not 0.0 < q < math.inf:
-        raise DomainError(f"q must be positive, got {q}")
-    _check_config(cfg)
+    _check_common(p, q, lam, sign, a, cfg)
     eps = [float(e) for e in (default_eps_ladder(p, lam) if eps_ladder is None else eps_ladder)]
     if len(eps) < 2 or any(not 0.0 < e < 1.0 for e in eps) or any(
         e2 >= e1 for e1, e2 in zip(eps, eps[1:])

@@ -127,39 +127,35 @@ def adaptive(
 
 
 _MAX_PHASE_PANELS = 400_000
+_MAX_PHASE = math.pi  # phase span of one panel
+_SHAPE_STEP = 0.5  # linear part of a shape step
+_SHAPE_GROWTH = 1.25  # geometric part of a shape step
+_CORNER_FACTOR = 2.0  # ratio of neighbouring corner-graded points
 
 
-def phase_breakpoints(
-    x_lo: float,
-    x_hi: float,
-    p: float,
-    lam: float,
-    max_phase: float = math.pi,
-    shape_step: float = 0.5,
-    growth: float = 1.25,
-) -> np.ndarray:
+def phase_breakpoints(x_lo: float, x_hi: float, p: float, lam: float) -> np.ndarray:
     """Breakpoints on [x_lo, x_hi] capping phase increments and shape steps."""
     if x_hi <= x_lo:
         return np.asarray([x_lo, x_hi])
-    # equal-phase points: lam x^p = lam x_lo^p + k*max_phase
+    # equal-phase points: lam x^p = lam x_lo^p + k*_MAX_PHASE
     ph_lo = lam * x_lo**p
     ph_hi = lam * x_hi**p
-    n_ph = int(min((ph_hi - ph_lo) / max_phase, _MAX_PHASE_PANELS))
+    n_ph = int(min((ph_hi - ph_lo) / _MAX_PHASE, _MAX_PHASE_PANELS))
     ks = np.arange(1, n_ph + 1)
-    xs_phase = ((ph_lo + ks * max_phase) / lam) ** (1.0 / p)
+    xs_phase = ((ph_lo + ks * _MAX_PHASE) / lam) ** (1.0 / p)
     # shape points: linear steps near the origin, geometric growth farther out
     shape_pts = []
     x = x_lo
     while x < x_hi:
-        x = min(x_hi, x + shape_step + (growth - 1.0) * x)
+        x = min(x_hi, x + _SHAPE_STEP + (_SHAPE_GROWTH - 1.0) * x)
         shape_pts.append(x)
     pts = np.unique(np.concatenate([[x_lo, x_hi], xs_phase, np.asarray(shape_pts)]))
     return pts[(pts >= x_lo) & (pts <= x_hi)]
 
 
-def corner_graded(x1: float, levels: int, factor: float = 2.0) -> np.ndarray:
-    """Geometric grading 0 < x1/f^levels < ... < x1 toward an endpoint at 0."""
-    pts = [x1 / factor**k for k in range(levels + 1)]
+def corner_graded(x1: float, levels: int) -> np.ndarray:
+    """Geometric grading 0 < x1/f^levels < ... < x1 toward an endpoint at 0, f = _CORNER_FACTOR."""
+    pts = [x1 / _CORNER_FACTOR**k for k in range(levels + 1)]
     return np.asarray([0.0] + pts[::-1])
 
 

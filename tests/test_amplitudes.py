@@ -15,7 +15,8 @@ from oscphase import (
     rational_regularizer,
     reflected,
 )
-from oscphase.amplitudes import derivative_shift
+from oscphase.amplitudes import ladder_weight
+from oscphase.ibp import coefficient_rows
 
 # the bounds must hold on [-60, 60] and far beyond it, out to |x| = 1e6
 FAR_XS = np.concatenate([
@@ -119,6 +120,61 @@ def test_closed_form_constants_bound_sampled_sup(name):
     )
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["constant_one", "gaussian", "rational_decay(0.5)", "rational_decay(1)",
+     "rational_decay(1.3)", "rational_decay(2.5)", "polynomial(1,0,1)*gaussian",
+     "polynomial(0,1)*gaussian", "polynomial(1,-2,0,0,3)*gaussian"],
+)
+@pytest.mark.parametrize("p,q", [(0.7, 5.0), (1.0, 6.0), (2.0, 9.5), (3.0, 20.0)])
+def test_ladder_weight_constants_bound_sampled_sup(name, p, q):
+    a = builtin(name)
+    for l in (1, 2, 3, 4):
+        b = ladder_weight(a, coefficient_rows(p, q, l)[l])
+        assert (b.tau, b.delta, b.max_order) == (a.tau + (1.0 + a.delta) * l, a.delta, 1)
+        _assert_bounds_sampled_sup(
+            b.deriv_stack(FAR_XS, 1), b.deriv_bound, lambda k: b.tau + b.delta * k
+        )
+
+
+@pytest.mark.parametrize(
+    "name,f",
+    [
+        ("gaussian", lambda x: mp.e ** (-(x**2))),
+        ("rational_decay(2)", lambda x: (1 + x**2) ** -2),
+        ("polynomial(1,0,-1)*gaussian", lambda x: (1 - x**2) * mp.e ** (-(x**2))),
+    ],
+)
+def test_ladder_weight_matches_mpmath(name, f):
+    # b = sum_j C_j x^j f^(j) and b' = sum_j C_j (j x^(j-1) f^(j) + x^j f^(j+1))
+    row = coefficient_rows(1.0, 6.0, 3)[3]
+    b = ladder_weight(builtin(name), row)
+    for x in (0.0, 0.3, 1.1, 2.7):
+        xm = mp.mpf(str(x))
+        d = [mp.diff(f, xm, j) for j in range(len(row) + 1)]
+        b0 = sum(c * xm**j * d[j] for j, c in enumerate(row))
+        b1 = sum(c * (j * xm ** (j - 1) * d[j] if j else 0) + c * xm**j * d[j + 1]
+                 for j, c in enumerate(row))
+        got = b.deriv_stack(np.array([x]), 1)[:, 0]
+        assert got[0] == pytest.approx(float(b0), rel=1e-11, abs=1e-12), x
+        assert got[1] == pytest.approx(float(b1), rel=1e-11, abs=1e-12), x
+    with pytest.raises(OrderError):
+        b.deriv_bound(2)
+
+
+def test_ladder_weight_reads_parent_constants():
+    a, calls = _counting("polynomial(1,0,1)*gaussian")
+    parent = builtin("polynomial(1,0,1)*gaussian")
+    row = coefficient_rows(1.0, 6.0, 4)[4]
+    b = ladder_weight(a, row)
+    assert b.deriv_bound(0) == sum(abs(c) * parent.deriv_bound(j) for j, c in enumerate(row))
+    assert b.deriv_bound(1) == sum(
+        abs(c) * (j * parent.deriv_bound(j) + parent.deriv_bound(j + 1)) for j, c in enumerate(row)
+    )
+    assert calls == []
+    assert ladder_weight(a, (1.0,)) is a  # the direct split keeps its amplitude
+
+
 def test_regularizer_constants_bound_sampled_sup():
     for chi in (default_regularizer(), rational_regularizer()):
         _assert_bounds_sampled_sup(
@@ -181,12 +237,10 @@ def test_reflected_and_shifted_read_parent_constants():
     for name in ("rational_decay(1.3)", "gaussian", "polynomial(1,0,1)*gaussian"):
         a, calls = _counting(name)
         parent = builtin(name)
-        ref, shifted = reflected(a), derivative_shift(a, 3)
+        ref = reflected(a)
         for k in range(a.max_order - 2):
             assert ref.deriv_bound(k) == parent.deriv_bound(k)
-            assert shifted.deriv_bound(k) == parent.deriv_bound(k + 3)
         assert ref.deriv_bound(a.max_order) == parent.deriv_bound(a.max_order)
-        assert shifted.tau == a.tau + 3 * a.delta
         assert calls == []  # no grid stack, of theirs or the parent's
 
 
@@ -195,8 +249,6 @@ def test_deriv_bound_past_max_order_raises():
     a.deriv_bound(a.max_order)
     with pytest.raises(OrderError):
         a.deriv_bound(a.max_order + 1)
-    with pytest.raises(OrderError):
-        derivative_shift(a, 5).deriv_bound(a.max_order - 4)
     with pytest.raises(OrderError):
         reflected(a).deriv_bound(a.max_order + 1)
 

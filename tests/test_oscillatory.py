@@ -589,3 +589,34 @@ def test_ladder_sub_integrals_stay_within_budget():
     rep = os_integral_halfline(1.0, 6.0, +1, 1e3, amp, cfg)
     assert rep.nodes_used <= cfg.max_nodes
     assert math.isfinite(rep.est_error)
+
+
+@pytest.mark.parametrize(
+    "name,p,q,lam", [("polynomial(1,0,1)*gaussian", 1.0, 6.0, 1e3), ("gaussian", 2.0, 2.5, 1.0)]
+)
+def test_ladder_node_budget_covers_whole_call(name, p, q, lam):
+    # max_nodes limits the whole ladder call, not each term of the row
+    cfg = QuadratureConfig(max_nodes=3000)
+    try:
+        rep = os_integral_halfline(p, q, +1, lam, builtin(name), cfg)
+    except BudgetError:
+        return
+    assert rep.nodes_used <= cfg.max_nodes
+
+
+def test_ladder_call_runs_one_split(monkeypatch):
+    calls = {"filon": 0, "tail": 0}
+
+    def spy(key, fn):
+        def wrapped(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(osc_mod, "_filon_compact", spy("filon", osc_mod._filon_compact))
+    monkeypatch.setattr(osc_mod, "_tail", spy("tail", osc_mod._tail))
+    rep = os_integral_halfline(2.0, 2.5, +1, 1.0, GAUSS)
+    assert rep.ibp_depth_used >= 2  # peeled at depth 1, then the reduced integral's own
+    assert calls == {"filon": 1, "tail": 1}
+    expect = 0.5 * math.gamma(1.25) * (1.0 - 1j) ** -1.25
+    assert abs(rep.value - expect) <= rep.est_error
