@@ -28,9 +28,10 @@ def coefficient_rows(p, q, l: int) -> tuple:
     rows = [(one,)]
     for m in range(1, l + 1):
         prev = rows[-1]
-        row = [(q - p * m) * prev[0]]
+        qm = q - p * m
+        row = [qm * prev[0]]
         for j in range(1, m):
-            row.append((q - p * m + j) * prev[j] + prev[j - 1])
+            row.append((qm + j) * prev[j] + prev[j - 1])
         row.append(prev[m - 1])
         rows.append(tuple(row))
     return tuple(rows)

@@ -230,6 +230,7 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
     (value, remainder_bound) with value the boundary terms up to that step at
     chi(eps x). value is None when the bound does not reach tol (then no
     boundary term is evaluated) or when a boundary term leaves double range.
+    Raises OverflowError when X^p does, as X cannot double further.
     """
     bounds = []
     best = 0
@@ -249,7 +250,10 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
     if not bounds[best] <= tol:
         return None, bounds[best]
     p, lam, s = chain.p, chain.lam, chain.sign
-    phase = cmath.exp(1j * s * lam * X**p)
+    try:
+        phase = cmath.exp(1j * s * lam * X**p)
+    except OverflowError:
+        raise OverflowError("tail abscissa overflowed double precision") from None
     total = 0.0 + 0.0j
     memo: dict = {}
     link = chain

@@ -224,6 +224,18 @@ def test_tail_abscissa_overflow_exit_code(capsys):
     assert out == "" and err == "error: tail abscissa overflowed double precision\n"
 
 
+def test_tail_phase_overflow_exit_code(capsys):
+    # the envelope constants of polynomial(1e300,0,1e300)*gaussian are near
+    # 1e300, so the remainder bound first certifies at X ~ 1.5e154, where X^2
+    # leaves double range; the error names the tail abscissa instead of
+    # printing Python's errno text
+    code = main(["oscint", "--halfline", "--p", "2",
+                 "--amplitude", "polynomial(1e300,0,1e300)*gaussian"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == "" and err == "error: tail abscissa overflowed double precision\n"
+
+
 def test_split_abscissa_overflow_exit_code(capsys):
     # at p = 0.1 and lambda = 1e-30 the split abscissa (40/(lambda p))^(1/p)
     # is beyond double range

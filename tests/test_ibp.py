@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscphase import ClassError, builtin, ibp_coefficients, ibp_depth
+from oscphase import ClassError, builtin, ibp_coefficients, ibp_depth, verification
 from oscphase.ibp import coefficient_rows, strict_floor_ratio
 from oscphase.oscillatory import _TermChain
-from oscphase.verification import brute_ibp_rows
+from oscphase.verification import brute_ibp_rows, check_ibp_oracle, run_suites
 
 
 def test_depth_zero_and_one_rows():
@@ -36,7 +36,43 @@ rational = st.fractions(
 @given(rational, rational)
 @settings(max_examples=60, deadline=None)
 def test_recurrence_matches_symbolic_oracle(p, q):
-    assert coefficient_rows(p, q, 6) == tuple(brute_ibp_rows(p, q, 6))
+    assert coefficient_rows(p, q, 8) == tuple(brute_ibp_rows(p, q, 8))
+
+
+def test_oracle_row_text_is_pinned():
+    res = check_ibp_oracle()
+    assert res.passed
+    assert res.lines[0] == "PASS  100 random rational (p,q), l<=8: 0 mismatches"
+
+
+def test_oracle_catches_a_perturbed_coefficient(monkeypatch):
+    # C[5][2] off by 1e-9 must fail every case, not pass within a tolerance
+    def perturbed(p, q, l):
+        rows = [list(r) for r in coefficient_rows(p, q, l)]
+        rows[5][2] += 1e-9
+        return tuple(tuple(r) for r in rows)
+
+    monkeypatch.setattr(verification, "coefficient_rows", perturbed)
+    res = check_ibp_oracle()
+    assert not res.passed
+    assert res.lines[0] == "FAIL  100 random rational (p,q), l<=8: 100 mismatches"
+
+
+def test_stray_term_is_a_fail_row(monkeypatch):
+    # a stray term in the brute force is a mismatch, not an escaping exception
+    def stray(p, q, lmax):
+        raise AssertionError("stray term (Fraction(1, 2), 0) at depth 1")
+
+    monkeypatch.setattr(verification, "brute_ibp_rows", stray)
+    (res,) = run_suites(["ibp"])
+    assert not res.passed
+    assert res.lines[0] == "FAIL  100 random rational (p,q), l<=8: 100 mismatches"
+
+
+def test_brute_rows_are_fractions():
+    rows = brute_ibp_rows(Fraction(3, 2), Fraction(7, 3), 4)
+    assert all(type(c) is Fraction for row in rows for c in row)
+    assert rows[1] == (Fraction(5, 6), Fraction(1))  # (q - p, 1)
 
 
 def test_boundary_closed_forms():

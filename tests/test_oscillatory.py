@@ -548,6 +548,19 @@ def test_halfline_estimate_honest_over_grid(p):
             _assert_honest_within_tol(rep, expect, cfg, (q, lam))
 
 
+def test_estimate_honest_against_closed_form_at_small_q_over_p():
+    # at q/p < 0.04 the closed form must be exact enough to judge est_error;
+    # the shifted Stirling Gamma erred by up to 1e-13 relative here
+    rng = np.random.default_rng(3)
+    for _ in range(80):
+        p = rng.uniform(0.7, 4.0)
+        q = p * rng.uniform(0.003, 0.04)
+        lam = 10.0 ** rng.uniform(0.0, 3.0)
+        rep = os_integral_halfline(p, q, +1, lam, ONE)
+        expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+        assert abs(rep.value - expect) <= rep.est_error, (p, q, lam)
+
+
 @pytest.mark.parametrize("q", [0.5, 1.01, 7.0])
 def test_gaussian_halfline_estimate_honest(q):
     # int_0^inf e^(i lam x^2) x^(q-1) e^(-x^2) dx = Gamma(q/2) (1 - i lam)^(-q/2) / 2
