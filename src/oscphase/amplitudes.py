@@ -225,6 +225,25 @@ def ladder_weight(a: Amplitude, row) -> Amplitude:
                      lambda k: (b0, b1)[k])
 
 
+def corner_slope(a: Amplitude, chi: RegularizerSpec | None = None) -> float:
+    """Bound on |w'(x)| over 0 <= x <= 1: the Filon corner's constant.
+
+    w = a, or w = a chi_eps with chi_eps(x) = chi(eps x), uniformly in
+    0 < eps <= 1. On [0, 1], <x> <= sqrt(2), so |a^(j)(x)| <= A_j <x>^(tau +
+    delta j) <= A_j 2^(max(tau + delta j, 0)/2); that is the bound for w = a.
+    chi's uniform constants give |chi_eps^(u)(x)| <= C_u <x>^(-u) <= C_u, and
+    (a chi_eps)' = a' chi_eps + a chi_eps', so
+      |(a chi_eps)'| <= A_1 2^(max(tau + delta, 0)/2) C_0 + A_0 2^(max(tau, 0)/2) C_1.
+    The second term carries its own factor: for tau > 0 (polynomial * gaussian)
+    it exceeds 2^(max(tau + delta, 0)/2).
+    """
+    a1 = a.deriv_bound(1) * 2.0 ** (max(a.tau + a.delta, 0.0) / 2.0)
+    if chi is None:
+        return a1
+    return (a1 * chi.uniform_bound(0)
+            + a.deriv_bound(0) * 2.0 ** (max(a.tau, 0.0) / 2.0) * chi.uniform_bound(1))
+
+
 # ----------------------------------------------------------------------
 # regularizer: Schwartz chi with chi(0)=1 defining the Os-integral limit
 # ----------------------------------------------------------------------

@@ -10,8 +10,13 @@ off by the ladder identity when that predicts less roundoff than the direct
 split: the same split then runs once, on exponent q - p l with the weight
 sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l.
 
-The epsilon-regularization path and the rotated-contour real-integral path
-are independent implementations used to cross-validate the closed forms.
+The epsilon-regularization path computes the defining limit: the integrals
+with chi(eps x) inserted, along a decreasing eps ladder, extrapolated to
+eps = 0 by Neville. It shares the compact engine (quadrature.
+osc_power_integral, one batched call for all rungs) and the tail recursion
+with the half line; chi, the ladder and the extrapolation are its own. The
+rotated-contour real-integral path is an independent, Gamma-free check of
+the closed forms.
 """
 
 from __future__ import annotations
@@ -23,21 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .amplitudes import Amplitude, RegularizerSpec, ladder_weight, reflected
-from .errors import (
-    BudgetError,
-    ClassError,
-    ConvergenceError,
-    DomainError,
-    OrderError,
-)
+from .amplitudes import Amplitude, RegularizerSpec, corner_slope, ladder_weight, reflected
+from .errors import ClassError, ConvergenceError, DomainError, OrderError
 from .ibp import ibp_coefficients, ibp_depth
-from .quadrature import (
-    QuadResult,
-    adaptive,
-    corner_graded,
-    osc_power_integral,
-)
+from .quadrature import adaptive, corner_graded, osc_power_integral
 
 _EPS = 2.2e-16
 _FAR_STEP_CAP = 70
@@ -343,12 +337,14 @@ def os_integral_halfline(
     q_l = q - p * l
     X, far_val, far_bound = _tail(
         _TermChain(p, lam, sign, a, None, q_l - 1.0, [complex(c) for c in row], ja=l), X)
-    compact = _filon_compact(p, q_l, sign, lam, b, X, cfg, 0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol)
+    compact = osc_power_integral(lambda x: b.deriv_stack(x, 0), X, p, q_l, lam, sign,
+                                 [b.deriv(0, 0.0)], corner_slope(b), 0.3 * cfg.abs_tol,
+                                 0.3 * cfg.rel_tol, cfg.max_nodes)
     pref = (sign * 1j / (lam * p)) ** l
-    value = _ensure_finite(pref * (compact.value + far_val), "half-line integral")
+    value = _ensure_finite(pref * (complex(compact.value[0]) + far_val), "half-line integral")
     return QuadratureReport(
         value=value,
-        est_error=abs(pref) * (compact.est_error + far_bound) + 5.0 * _EPS * abs(value),
+        est_error=abs(pref) * (float(compact.est_error[0]) + far_bound) + 5.0 * _EPS * abs(value),
         nodes_used=compact.nodes_used,
         ibp_depth_used=l + ibp_depth(p, q_l, b.tau, b.delta).l_pq,
         tail_cut=X,
@@ -378,28 +374,8 @@ def os_integral_fullline(
 
 
 # ----------------------------------------------------------------------
-# epsilon-regularization path (independent oracle)
+# epsilon-regularization path: the defining limit
 # ----------------------------------------------------------------------
-
-
-def _eps_single(chain, q, eps, X0, cfg) -> complex:
-    """Absolutely convergent integral with the regularizer chi(eps x) inserted.
-
-    The shared eps-free chain's boundary terms from X >= X0 (see _tail),
-    evaluated at chi(eps x), then GL panels over [0, X].
-    """
-    p, lam, sign, a, chi = chain.p, chain.lam, chain.sign, chain.amp, chain.chi
-    abs_tol = 0.25 * cfg.abs_tol
-    rel_tol = 0.25 * cfg.rel_tol
-
-    def weight(x):
-        return a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
-
-    X, far_val, _ = _tail(chain, X0, eps)
-    res = osc_power_integral(
-        weight, 0.0, X, p, q, lam, sign, abs_tol, rel_tol, cfg.max_nodes
-    )
-    return res.value + far_val
 
 
 def neville_at_zero(ts, vs):
@@ -420,7 +396,9 @@ def epsilon_regularized(
 
     Polynomial extrapolation in eps of degree min(4, len-1) over the smallest
     rungs, per the empirical convergence of the regularized family. The
-    ladder defaults to default_eps_ladder(p, lam).
+    ladder defaults to default_eps_ladder(p, lam). Every rung's tail runs from
+    one common X, so one compact call integrates all rungs over [0, X], and
+    max_nodes limits the whole call.
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, q, lam, sign, a, cfg)
@@ -437,7 +415,20 @@ def epsilon_regularized(
     except OverflowError:
         raise OverflowError("epsilon-path split abscissa overflowed double precision") from None
     chain = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
-    vals = [_eps_single(chain, q, e, X0, cfg) for e in eps]
+    # one X for every rung: the chain's bounds do not depend on eps, so the
+    # rungs' tails part only where a boundary term overflows at some eps
+    X, tails = X0, None
+    while tails is None or any(x != X for x, _, _ in tails):
+        tails = [_tail(chain, X, e) for e in eps]
+        X = max(x for x, _, _ in tails)
+
+    def weight(x):
+        return a.deriv_stack(x, 0)[0] * np.array([chi.scaled_stack(x, e, 0)[0] for e in eps])
+
+    compact = osc_power_integral(weight, X, p, q, lam, sign, weight(np.zeros(1))[:, 0],
+                                 corner_slope(a, chi), 0.25 * cfg.abs_tol, 0.25 * cfg.rel_tol,
+                                 cfg.max_nodes)
+    vals = [complex(v) + far_val for v, (_, far_val, _) in zip(compact.value, tails)]
     deg = min(4, len(eps) - 1)
     extr = [
         neville_at_zero(eps[i - deg : i + 1], vals[i - deg : i + 1])
@@ -516,133 +507,3 @@ def rotated_contour_reference(p: float, q: float, sign: int) -> complex:
     s0 = q / p
     g = _gamma_real_integral(s0, 1e-14, 400_000)
     return cmath.exp(sign * 1j * math.pi * q / (2.0 * p)) * g / p
-
-
-# ----------------------------------------------------------------------
-# Filon compact part: exact in the oscillation, at every phase span
-# ----------------------------------------------------------------------
-
-_FILON_DEG = 24
-_FILON_XS, _FILON_WS = np.polynomial.legendre.leggauss(_FILON_DEG)
-# Legendre coefficients c_n = (2n+1)/2 sum_i w_i h(x_i) P_n(x_i): (h * w) @ _FILON_VANDER
-_FILON_VANDER = np.polynomial.legendre.legvander(_FILON_XS, _FILON_DEG - 1) * (
-    (2.0 * np.arange(_FILON_DEG) + 1.0) / 2.0
-)
-
-
-def _sph_jn(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Spherical Bessel j_0..j_nmax (nmax >= 1) at every x > 0, shape (x.size, nmax + 1)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    large = x > nmax + 12
-    if large.any():
-        # upward recurrence is stable for x above the order
-        xl = x[large]
-        jl = np.empty((nmax + 1, xl.size))
-        jl[0] = np.sin(xl) / xl
-        jl[1] = (jl[0] - np.cos(xl)) / xl
-        for k in range(1, nmax):
-            jl[k + 1] = (2 * k + 1) / xl * jl[k] - jl[k - 1]
-        out[:, large] = jl
-    rest = ~large
-    if rest.any():
-        # Miller's downward recurrence in ratio form r_k = j_k / j_(k-1), from
-        # one common start for every x; ratios neither overflow nor underflow
-        # at tiny x, so no power series is needed there
-        xm = x[rest]
-        r = np.zeros((nmax + 1, xm.size))
-        rk = np.zeros(xm.size)
-        for k in range(nmax + 22 + int(1.2 * xm.max()), 0, -1):
-            rk = xm / (2 * k + 1 - xm * rk)
-            if k <= nmax:
-                r[k] = rk
-        # anchor on the larger of j_0, j_1: they never vanish together
-        j0 = np.sin(xm) / xm
-        j1 = (j0 - np.cos(xm)) / xm
-        use0 = np.abs(j0) >= np.abs(j1)
-        out[0, rest] = np.where(use0, j0, j1 / r[1])
-        out[1, rest] = np.where(use0, j0 * r[1], j1)
-        out[2:, rest] = out[1, rest] * np.cumprod(r[2:], axis=0)
-    return out.T
-
-
-def _filon_panels(h, lo, hi, s_lam):
-    """Integrals of e^(i s_lam t) h(t) over the panels [lo, hi] via Legendre projection.
-
-    Returns (values, errors); an error bounds the panel's unresolved Legendre
-    tail. The discrete projection aliases that tail into every coefficient,
-    so the last coefficients are weighed by the largest moment, which at small
-    theta is j_0's and not their own.
-    """
-    t_mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    hv = h((t_mid[:, None] + hw[:, None] * _FILON_XS).ravel()).reshape(lo.size, _FILON_DEG)
-    coeffs = (hv * _FILON_WS) @ _FILON_VANDER
-    moments = 2.0 * (1j ** np.arange(_FILON_DEG)) * _sph_jn(_FILON_DEG - 1, abs(s_lam) * hw)
-    if s_lam < 0:
-        moments = np.conj(moments)
-    vals = hw * np.exp(1j * s_lam * t_mid) * np.sum(coeffs * moments, axis=1)
-    errs = hw * np.sum(np.abs(coeffs[:, -4:]), axis=1) * np.max(np.abs(moments), axis=1)
-    errs += 1e-17 * np.abs(vals)
-    return vals, errs
-
-
-def _filon_compact(p, q, sign, lam, a, X, cfg, abs_tol, rel_tol) -> QuadResult:
-    """Integral over [0, X] after t = x^p: finite Fourier integral with algebraic corner."""
-    s0 = q / p
-    T = X**p
-    # corner [0, t_min]: h ~ a(0) t^(s0-1) / p, integrated exactly; what is left
-    # is bounded by |a(x) - a(0)| <= A_1 x (x <= 1) and |e^(i lam t) - 1| <= lam t
-    a0 = float(a.deriv(0, 0.0))
-    a1 = a.deriv_bound(1) * 2.0 ** (max(a.tau + a.delta, 0.0) / 2.0)
-    budget = 0.01 * max(abs_tol, 1e-15) * p
-    t_min = min(1.0, 0.5 * T)
-    for coef, e in ((a1, s0 + 1.0 / p), (abs(a0) * lam, s0 + 1.0)):
-        if coef > 0.0:
-            t_min = min(t_min, (budget * e / coef) ** (1.0 / e))
-    if t_min < 1e-280:
-        # at large p the corner exponent is tiny and t_min underflows
-        raise BudgetError("corner exponent too small for the Filon path")
-    corner = a0 * t_min**s0 / (s0 * p)
-    corner_err = (a1 * t_min ** (s0 + 1.0 / p) / (s0 + 1.0 / p)
-                  + abs(a0) * lam * t_min ** (s0 + 1.0) / (s0 + 1.0)) / p
-
-    def h(t):
-        x = t ** (1.0 / p)
-        return t ** (s0 - 1.0) * a.deriv_stack(x, 0)[0] / p
-
-    # geometric panels resolve the algebraic corner; growth ratio keeps the
-    # Legendre projection of t^(s0-1) at machine precision per panel
-    pts = [t_min]
-    while pts[-1] < T:
-        pts.append(min(T, pts[-1] * 1.6))
-    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
-    nodes = lo.size * _FILON_DEG
-    if nodes > cfg.max_nodes:
-        raise BudgetError(
-            f"initial panelization needs {nodes} nodes, budget is {cfg.max_nodes}"
-        )
-    vals, errs = _filon_panels(h, lo, hi, sign * lam)
-    for _ in range(15):
-        if np.sum(errs) < max(abs_tol, rel_tol * abs(np.sum(vals))):
-            break
-        # bisect the panels carrying the error mass; keep the others' results
-        split = errs > 0.25 * errs.max()
-        s_lo, s_hi = lo[split], hi[split]
-        if nodes + 2 * s_lo.size * _FILON_DEG > cfg.max_nodes:
-            break
-        mid = 0.5 * (s_lo + s_hi)
-        new_lo, new_hi = np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi])
-        new_vals, new_errs = _filon_panels(h, new_lo, new_hi, sign * lam)
-        nodes += new_lo.size * _FILON_DEG
-        keep = ~split
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        vals = np.concatenate([vals[keep], new_vals])
-        errs = np.concatenate([errs[keep], new_errs])
-        order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
-    # the phase argument lam*t is rounded at eps relative: reported, but left
-    # out of the stop test because refinement cannot reduce it
-    roundoff = _EPS * lam * float(np.sum(0.5 * (lo + hi) * np.abs(vals)))
-    return QuadResult(corner + complex(np.sum(vals)), corner_err + float(np.sum(errs)) + roundoff,
-                      nodes)

@@ -1,10 +1,14 @@
-"""Vectorized adaptive panel quadrature for oscillatory power-weight integrals.
+"""Panel quadrature: the Filon compact engine and adaptive Gauss-Legendre panels.
 
-Panels are sized so each spans at most ~pi of phase lam*x^p; endpoint
-singularities x^(q-1) with q < 1 are removed by the substitution u = x^q.
-Error estimates come from an embedded Gauss-Legendre pair per panel, and
-refinement bisects the panels carrying the error mass. All reductions run
-in fixed (left-to-right) panel order so results are deterministic.
+osc_power_integral is the one compact engine of the oscillatory integrals,
+for the half line and for every rung of the epsilon path at once: Filon
+quadrature after t = x^p (Legendre projection on geometric panels against
+spherical-Bessel moments), exact in the oscillation, so its cost hardly
+grows with the phase span. adaptive integrates non-oscillatory integrands on
+given breakpoints with an embedded Gauss-Legendre pair per panel; the
+rotated-contour reference uses it with corner_graded points. Both refine by
+bisecting the panels that carry the error mass, and all reductions run in
+fixed panel order, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -32,8 +36,10 @@ _GL_HI = _gl(_N_HI)
 
 @dataclass
 class QuadResult:
-    value: complex
-    est_error: float
+    """value and est_error: scalars from adaptive, one entry per row from osc_power_integral."""
+
+    value: complex | np.ndarray
+    est_error: float | np.ndarray
     nodes_used: int
 
 
@@ -126,31 +132,7 @@ def adaptive(
     return QuadResult(complex(np.sum(vals)), float(np.sum(errs)), nodes)
 
 
-_MAX_PHASE_PANELS = 400_000
-_MAX_PHASE = math.pi  # phase span of one panel
-_SHAPE_STEP = 0.5  # linear part of a shape step
-_SHAPE_GROWTH = 1.25  # geometric part of a shape step
 _CORNER_FACTOR = 2.0  # ratio of neighbouring corner-graded points
-
-
-def phase_breakpoints(x_lo: float, x_hi: float, p: float, lam: float) -> np.ndarray:
-    """Breakpoints on [x_lo, x_hi] capping phase increments and shape steps."""
-    if x_hi <= x_lo:
-        return np.asarray([x_lo, x_hi])
-    # equal-phase points: lam x^p = lam x_lo^p + k*_MAX_PHASE
-    ph_lo = lam * x_lo**p
-    ph_hi = lam * x_hi**p
-    n_ph = int(min((ph_hi - ph_lo) / _MAX_PHASE, _MAX_PHASE_PANELS))
-    ks = np.arange(1, n_ph + 1)
-    xs_phase = ((ph_lo + ks * _MAX_PHASE) / lam) ** (1.0 / p)
-    # shape points: linear steps near the origin, geometric growth farther out
-    shape_pts = []
-    x = x_lo
-    while x < x_hi:
-        x = min(x_hi, x + _SHAPE_STEP + (_SHAPE_GROWTH - 1.0) * x)
-        shape_pts.append(x)
-    pts = np.unique(np.concatenate([[x_lo, x_hi], xs_phase, np.asarray(shape_pts)]))
-    return pts[(pts >= x_lo) & (pts <= x_hi)]
 
 
 def corner_graded(x1: float, levels: int) -> np.ndarray:
@@ -159,53 +141,158 @@ def corner_graded(x1: float, levels: int) -> np.ndarray:
     return np.asarray([0.0] + pts[::-1])
 
 
+# ----------------------------------------------------------------------
+# Filon compact engine: exact in the oscillation, at every phase span
+# ----------------------------------------------------------------------
+
+_FILON_DEG = 24
+_FILON_XS, _FILON_WS = np.polynomial.legendre.leggauss(_FILON_DEG)
+# Legendre coefficients c_n = (2n+1)/2 sum_i w_i h(x_i) P_n(x_i): (h * w) @ _FILON_VANDER
+_FILON_VANDER = np.polynomial.legendre.legvander(_FILON_XS, _FILON_DEG - 1) * (
+    (2.0 * np.arange(_FILON_DEG) + 1.0) / 2.0
+)
+
+
+def _sph_jn(nmax: int, x: np.ndarray) -> np.ndarray:
+    """Spherical Bessel j_0..j_nmax (nmax >= 1) at every x > 0, shape (x.size, nmax + 1)."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty((nmax + 1, x.size))
+    large = x > nmax + 12
+    if large.any():
+        # upward recurrence is stable for x above the order
+        xl = x[large]
+        jl = np.empty((nmax + 1, xl.size))
+        jl[0] = np.sin(xl) / xl
+        jl[1] = (jl[0] - np.cos(xl)) / xl
+        for k in range(1, nmax):
+            jl[k + 1] = (2 * k + 1) / xl * jl[k] - jl[k - 1]
+        out[:, large] = jl
+    rest = ~large
+    if rest.any():
+        # Miller's downward recurrence in ratio form r_k = j_k / j_(k-1), from
+        # one common start for every x; ratios neither overflow nor underflow
+        # at tiny x, so no power series is needed there
+        xm = x[rest]
+        r = np.zeros((nmax + 1, xm.size))
+        rk = np.zeros(xm.size)
+        for k in range(nmax + 22 + int(1.2 * xm.max()), 0, -1):
+            rk = xm / (2 * k + 1 - xm * rk)
+            if k <= nmax:
+                r[k] = rk
+        # anchor on the larger of j_0, j_1: they never vanish together
+        j0 = np.sin(xm) / xm
+        j1 = (j0 - np.cos(xm)) / xm
+        use0 = np.abs(j0) >= np.abs(j1)
+        out[0, rest] = np.where(use0, j0, j1 / r[1])
+        out[1, rest] = np.where(use0, j0 * r[1], j1)
+        out[2:, rest] = out[1, rest] * np.cumprod(r[2:], axis=0)
+    return out.T
+
+
+def _filon_panels(h, lo, hi, s_lam):
+    """Integrals of e^(i s_lam t) h(t) over the panels [lo, hi] via Legendre projection.
+
+    h returns one row per integrand; so do the (values, errors) returned, of
+    shape (rows, panels). The rows share the nodes and the moments. Each row
+    is projected by its own (panels, degree) matrix product, as large as a
+    half-line one: a product over all rows would cross the BLAS threading
+    threshold rows times sooner, and there the threads' wake-up costs more
+    than the product. An error bounds the panel's unresolved
+    Legendre tail. The discrete projection aliases that tail into every
+    coefficient, so the last coefficients are weighed by the largest moment,
+    which at small theta is j_0's and not their own.
+    """
+    t_mid, hw = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    hv = h((t_mid[:, None] + hw[:, None] * _FILON_XS).ravel())
+    coeffs = np.empty((hv.shape[0], lo.size, _FILON_DEG))
+    for row, out in zip(hv, coeffs):
+        np.matmul(row.reshape(lo.size, _FILON_DEG) * _FILON_WS, _FILON_VANDER, out=out)
+    moments = 2.0 * (1j ** np.arange(_FILON_DEG)) * _sph_jn(_FILON_DEG - 1, abs(s_lam) * hw)
+    if s_lam < 0:
+        moments = np.conj(moments)
+    vals = hw * np.exp(1j * s_lam * t_mid) * (coeffs * moments).sum(axis=2)
+    errs = hw * np.abs(coeffs[..., -4:]).sum(axis=2) * np.abs(moments).max(axis=1)
+    errs += 1e-17 * np.abs(vals)
+    return vals, errs
+
+
 def osc_power_integral(
     weight: Callable[[np.ndarray], np.ndarray],
-    x_lo: float,
-    x_hi: float,
+    X: float,
     p: float,
     q: float,
     lam: float,
     sign: int,
+    w0: list | np.ndarray,
+    w1: float,
     abs_tol: float,
     rel_tol: float,
     max_nodes: int,
 ) -> QuadResult:
-    """integral of e^(sign i lam x^p) x^(q-1) weight(x) over [x_lo, x_hi].
+    """integral of e^(sign i lam x^p) x^(q-1) w(x) over [0, X], for each row w of weight.
 
-    weight must be bounded; the algebraic x^(q-1) endpoint factor is handled
-    here (substitution u = x^q when q < 1 touches x_lo = 0, geometric corner
-    grading when q >= 1).
+    Filon quadrature after t = x^p: a finite Fourier integral with an
+    algebraic corner at t = 0. weight(x) returns shape (rows, x.size); w0
+    holds the rows' w(0), and w1 bounds |w'| on [0, 1] for every row. The
+    rows share the panels and the moments, and a panel is split when any
+    row still short of its tolerance needs it. nodes_used
+    counts evaluations times rows, so max_nodes limits the whole batch.
+    value and est_error hold one entry per row.
     """
-    if x_hi <= x_lo:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
+    w0 = np.asarray(w0, dtype=float)
+    rows = w0.size
+    s0 = q / p
+    T = X**p
+    # corner [0, t_min]: h ~ w(0) t^(s0-1) / p, integrated exactly; what is left
+    # is bounded by |w(x) - w(0)| <= w1 x (x <= 1) and |e^(i lam t) - 1| <= lam t
+    budget = 0.01 * max(abs_tol, 1e-15) * p
+    t_min = min(1.0, 0.5 * T)
+    for coef, e in ((w1, s0 + 1.0 / p), (float(np.abs(w0).max()) * lam, s0 + 1.0)):
+        if coef > 0.0:
+            t_min = min(t_min, (budget * e / coef) ** (1.0 / e))
+    if t_min < 1e-280:
+        # at large p the corner exponent is tiny and t_min underflows
+        raise BudgetError("corner exponent too small for the Filon path")
+    corner = w0 * t_min**s0 / (s0 * p)
+    corner_err = (w1 * t_min ** (s0 + 1.0 / p) / (s0 + 1.0 / p)
+                  + np.abs(w0) * lam * t_min ** (s0 + 1.0) / (s0 + 1.0)) / p
 
-    substitute = x_lo == 0.0 and q < 1.0
+    def h(t):
+        return t ** (s0 - 1.0) * weight(t ** (1.0 / p)) / p
 
-    if substitute:
-        # u = x^q: integrand (1/q) e^(sign i lam u^(p/q)) weight(u^(1/q)), bounded
-        def f(u):
-            x = np.zeros_like(u)
-            pos = u > 0.0
-            x[pos] = u[pos] ** (1.0 / q)
-            return (
-                np.exp(1j * sign * lam * x**p) * weight(x) / q
-            )
-
-        breaks = phase_breakpoints(x_lo, x_hi, p, lam)
-        u_breaks = breaks**q
-        # flat-composition corner: modest grading suffices
-        first = u_breaks[1] if u_breaks.size > 1 else x_hi**q
-        u_pts = np.unique(np.concatenate([corner_graded(first, 24), u_breaks]))
-        return adaptive(f, u_pts, abs_tol, rel_tol, max_nodes)
-
-    def f(x):
-        return np.exp(1j * sign * lam * x**p) * x ** (q - 1.0) * weight(x)
-
-    breaks = phase_breakpoints(max(x_lo, 0.0), x_hi, p, lam)
-    if x_lo == 0.0:
-        # x^(q-1) with q >= 1 is bounded but can have unbounded higher
-        # derivatives at 0; pre-grade the corner so refinement stays local
-        first = breaks[1] if breaks.size > 1 else x_hi
-        breaks = np.unique(np.concatenate([corner_graded(first, 20), breaks]))
-    return adaptive(f, breaks, abs_tol, rel_tol, max_nodes)
+    # geometric panels resolve the algebraic corner; growth ratio keeps the
+    # Legendre projection of t^(s0-1) at machine precision per panel
+    pts = [t_min]
+    while pts[-1] < T:
+        pts.append(min(T, pts[-1] * 1.6))
+    lo, hi = np.array(pts[:-1]), np.array(pts[1:])
+    nodes = rows * lo.size * _FILON_DEG
+    if nodes > max_nodes:
+        raise BudgetError(f"initial panelization needs {nodes} nodes, budget is {max_nodes}")
+    vals, errs = _filon_panels(h, lo, hi, sign * lam)
+    for _ in range(15):
+        short = ~(errs.sum(axis=1) < np.maximum(abs_tol, rel_tol * np.abs(vals.sum(axis=1))))
+        if not short.any():
+            break
+        # bisect the panels carrying the error mass of a row short of its
+        # tolerance; keep the others' results
+        e = errs[short]
+        split = (e > 0.25 * e.max(axis=1, keepdims=True)).any(axis=0)
+        s_lo, s_hi = lo[split], hi[split]
+        if nodes + 2 * rows * s_lo.size * _FILON_DEG > max_nodes:
+            break
+        mid = 0.5 * (s_lo + s_hi)
+        new_lo, new_hi = np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi])
+        new_vals, new_errs = _filon_panels(h, new_lo, new_hi, sign * lam)
+        nodes += rows * new_lo.size * _FILON_DEG
+        keep = ~split
+        lo = np.concatenate([lo[keep], new_lo])
+        hi = np.concatenate([hi[keep], new_hi])
+        vals = np.concatenate([vals[:, keep], new_vals], axis=1)
+        errs = np.concatenate([errs[:, keep], new_errs], axis=1)
+        order = np.argsort(lo, kind="stable")
+        lo, hi, vals, errs = lo[order], hi[order], vals[:, order], errs[:, order]
+    # the phase argument lam*t is rounded at eps relative: reported, but left
+    # out of the stop test because refinement cannot reduce it
+    roundoff = _ROUNDOFF * lam * (0.5 * (lo + hi) * np.abs(vals)).sum(axis=1)
+    return QuadResult(corner + vals.sum(axis=1), corner_err + errs.sum(axis=1) + roundoff, nodes)

@@ -15,7 +15,7 @@ from oscphase import (
     rational_regularizer,
     reflected,
 )
-from oscphase.amplitudes import ladder_weight
+from oscphase.amplitudes import corner_slope, ladder_weight
 from oscphase.ibp import coefficient_rows
 
 # the bounds must hold on [-60, 60] and far beyond it, out to |x| = 1e6
@@ -118,6 +118,14 @@ def test_closed_form_constants_bound_sampled_sup(name):
     _assert_bounds_sampled_sup(
         a.deriv_stack(FAR_XS, a.max_order), a.deriv_bound, lambda k: a.tau + a.delta * k
     )
+    # the Filon corner's constant: sup |w'| on [0, 1] for w = a and w = a chi(eps x)
+    xs = np.linspace(0.0, 1.0, 2001)
+    d = a.deriv_stack(xs, 1)
+    assert np.max(np.abs(d[1])) <= corner_slope(a)
+    for chi in (default_regularizer(), rational_regularizer()):
+        for eps in (1.0, 0.5, 0.05, 1e-3):
+            c = chi.scaled_stack(xs, eps, 1)
+            assert np.max(np.abs(d[1] * c[0] + d[0] * c[1])) <= corner_slope(a, chi), (chi.name, eps)
 
 
 @pytest.mark.parametrize(

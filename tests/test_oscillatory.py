@@ -11,6 +11,7 @@ from oscphase import (
     Amplitude,
     BudgetError,
     ClassError,
+    ConvergenceError,
     DEFAULT_EPS_LADDER,
     DomainError,
     OrderError,
@@ -31,11 +32,10 @@ import oscphase.quadrature as quad_mod
 from oscphase.oscillatory import (
     _TermChain,
     _by_parts_from,
-    _filon_compact,
-    _sph_jn,
+    _tail,
     default_eps_ladder,
 )
-from oscphase.quadrature import adaptive, osc_power_integral, phase_breakpoints
+from oscphase.quadrature import _sph_jn, adaptive, osc_power_integral
 from oscphase.verification import GRID_P
 
 ONE = builtin("constant_one")
@@ -145,8 +145,9 @@ def test_far_tail_recursion_brackets_the_tail(sign):
         return (np.exp(1j * sign * lam * x**p) * x ** (q - 1.0)
                 * GAUSS.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0])
 
-    # beyond x = 12 the integrand is below e^(-144)
-    direct = adaptive(f, phase_breakpoints(X, 12.0, p, lam), 1e-22, 1e-13, 10**6)
+    # beyond x = 12 the integrand is below e^(-144); breakpoints pi of phase apart
+    pts = np.append((np.arange(lam * X**p, lam * 12.0**p, math.pi) / lam) ** (1.0 / p), 12.0)
+    direct = adaptive(f, pts, 1e-22, 1e-13, 10**6)
     assert math.isfinite(bound) and bound < abs(direct.value) * 1e3
     assert abs(value - direct.value) <= bound + direct.est_error
 
@@ -229,19 +230,80 @@ def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
 @pytest.mark.parametrize("name", ["constant_one", "gaussian"])
 @pytest.mark.parametrize("p", [1.0, 2.0])
 def test_epsilon_path_integrates_once_per_rung(monkeypatch, p, name):
-    # the tail starts where the chain certifies, so no rung needs a chunk
-    # extension beyond its direct zone
-    calls = []
-    adaptive_ = quad_mod.adaptive
+    # one compact call integrates every rung over the common [0, X], one row
+    # per rung; no rung falls back on adaptive Gauss-Legendre panels
+    calls = {"adaptive": 0, "compact": []}
+    adaptive_, compact_ = quad_mod.adaptive, osc_mod.osc_power_integral
 
     def counted(*args, **kw):
-        calls.append(1)
+        calls["adaptive"] += 1
         return adaptive_(*args, **kw)
+
+    def compact(*args, **kw):
+        res = compact_(*args, **kw)
+        calls["compact"].append(len(res.value))
+        return res
 
     monkeypatch.setattr(quad_mod, "adaptive", counted)
     monkeypatch.setattr(osc_mod, "adaptive", counted)
+    monkeypatch.setattr(osc_mod, "osc_power_integral", compact)
     epsilon_regularized(p, 1.0, +1, 1.0, builtin(name), default_regularizer())
-    assert len(calls) == len(default_eps_ladder(p, 1.0))
+    assert calls == {"adaptive": 0, "compact": [len(default_eps_ladder(p, 1.0))]}
+
+
+def _compact_nodes(monkeypatch):
+    """nodes_used of every compact call that returns, in call order."""
+    nodes = []
+    compact_ = osc_mod.osc_power_integral
+
+    def compact(*args, **kw):
+        res = compact_(*args, **kw)
+        nodes.append(res.nodes_used)
+        return res
+
+    monkeypatch.setattr(osc_mod, "osc_power_integral", compact)
+    return nodes
+
+
+def test_epsilon_node_budget_covers_whole_call(monkeypatch):
+    # max_nodes limits the whole eps call, all rungs together
+    nodes = _compact_nodes(monkeypatch)
+    cfg = QuadratureConfig()
+    epsilon_regularized(2.0, 1.0, +1, 1e4, ONE, default_regularizer(), cfg=cfg)
+    assert nodes and sum(nodes) <= cfg.max_nodes
+    used = sum(nodes)
+    with pytest.raises(BudgetError):
+        epsilon_regularized(2.0, 1.0, +1, 1e4, ONE, default_regularizer(),
+                            cfg=QuadratureConfig(max_nodes=1000))
+    # a budget below what the call wants stops the refinement short of it
+    for budget in (1000, used // 2, used - 1):
+        nodes.clear()
+        try:
+            epsilon_regularized(2.0, 1.0, +1, 1e4, ONE, default_regularizer(),
+                                cfg=QuadratureConfig(max_nodes=budget))
+        except (BudgetError, ConvergenceError):
+            pass
+        assert sum(nodes) <= budget, budget
+
+
+@pytest.mark.parametrize(
+    "p,q,lam,name",
+    [(8.0, 0.5, 1.0, "constant_one"), (12.0, 1.0, 100.0, "constant_one"),
+     (20.0, 0.5, 1.0, "constant_one"), (2.0, 1.0, 1e4, "constant_one"),
+     (2.0, 1.0, 1e4, "gaussian"), (2.0, 2.5, 1e4, "gaussian")],
+)
+def test_epsilon_path_reach(monkeypatch, p, q, lam, name):
+    # large powers and many periods: one batched Filon call within the node
+    # budget, judged against the closed form within the ladder's spread budget
+    nodes = _compact_nodes(monkeypatch)
+    cfg = QuadratureConfig()
+    v = epsilon_regularized(p, q, +1, lam, builtin(name), default_regularizer(), cfg=cfg)
+    if name == "gaussian":
+        expect = 0.5 * math.gamma(q / 2.0) * (1.0 - 1j * lam) ** (-q / 2.0)
+    else:
+        expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+    assert abs(v - expect) <= 1e2 * max(cfg.rel_tol, 1e-6) * max(1.0, abs(expect))
+    assert len(nodes) == 1 and nodes[0] <= cfg.max_nodes
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 1e3])
@@ -505,15 +567,15 @@ def test_node_budget_respected(p, q, lam):
 
 @pytest.mark.parametrize("p,q,lam", [(1.0, 0.5, 3.2e3), (3.0, 1.0, 1e3)])
 def test_filon_and_gl_compact_engines_agree(p, q, lam):
-    # the compact part over [0, X], by Filon and by Gauss-Legendre panels
+    # the compact part over [0, X] by Filon, plus the tail from X, against
+    # the closed form
     cfg = QuadratureConfig()
     X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
-    tols = (0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol)
-    filon = _filon_compact(p, q, +1, lam, ONE, X, cfg, *tols)
-    gl = osc_power_integral(lambda x: ONE.deriv_stack(x, 0)[0], 0.0, X, p, q, lam, +1,
-                            *tols, cfg.max_nodes)
-    assert abs(filon.value - gl.value) <= filon.est_error + gl.est_error
-    assert filon.nodes_used < gl.nodes_used
+    X, far_val, far_bound = _tail(_TermChain(p, lam, +1, ONE, None, q - 1.0, [1.0 + 0.0j]), X)
+    filon = osc_power_integral(lambda x: ONE.deriv_stack(x, 0), X, p, q, lam, +1, [1.0], 0.0,
+                               0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol, cfg.max_nodes)
+    expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
+    assert abs(filon.value[0] + far_val - expect) <= filon.est_error[0] + far_bound
 
 
 @pytest.mark.parametrize("p", [0.7, 1.0, 1.5, 2.0, 3.0])
@@ -626,7 +688,7 @@ def test_ladder_call_runs_one_split(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(osc_mod, "_filon_compact", spy("filon", osc_mod._filon_compact))
+    monkeypatch.setattr(osc_mod, "osc_power_integral", spy("filon", osc_mod.osc_power_integral))
     monkeypatch.setattr(osc_mod, "_tail", spy("tail", osc_mod._tail))
     rep = os_integral_halfline(2.0, 2.5, +1, 1.0, GAUSS)
     assert rep.ibp_depth_used >= 2  # peeled at depth 1, then the reduced integral's own
