@@ -4,7 +4,9 @@ An amplitude a lives in the class with parameters (tau, delta) when
 |a^(k)(x)| <= C_k <x>^(tau + delta k) for every k, where <x> = sqrt(1+x^2).
 Built-ins carry exact derivative recurrences and closed-form constants C_k,
 each proved where it is computed: the tail recursion's remainder bound, the
-ladder test and the Filon corner need them to be true bounds.
+ladder test and the Filon corner need them to be true bounds. The Gaussian
+types also carry a proved tail mass, which ends their tails without the
+recursion.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ class Amplitude:
     deriv_stack(x, order) returns [a(x), a'(x), ..., a^(order)(x)] as an
     array of shape (order+1, len(x)); deriv(k, x) is the scalar-order view.
     bound(k) is a proved C_k with |a^(k)(x)| <= C_k <x>^(tau+delta k) (0 for
-    vanishing orders); deriv_bound(k) is bound(k) for k <= max_order.
+    vanishing orders); deriv_bound(k) is bound(k) for k <= max_order. mass, where
+    given, is a proved tail mass: mass(q, X) >= int_X^inf x^(q-1) |a(+-x)| dx for
+    both signs, q > 0 and X > 0 (inf where it knows no bound).
     """
 
     name: str
@@ -37,6 +41,7 @@ class Amplitude:
     max_order: int
     _stack: Callable[[np.ndarray, int], np.ndarray]
     bound: Callable[[int], float]
+    mass: Callable[[float, float], float] | None = None
 
     def _check_order(self, order: int) -> None:
         if order > self.max_order:
@@ -80,6 +85,42 @@ def _poly_gaussian_bound(coeffs: tuple, k: int) -> float:
         total += sum(abs(c) * math.perm(m, i) * g * _gauss_weight_sup(m - i - deg + k)
                      for m, c in enumerate(coeffs[i:], i) if c)
     return total
+
+
+def _upper_gamma_bound(s: float, T: float, scale: float) -> float:
+    """scale * B with B >= Gamma(s, T) = int_T^inf t^(s-1) e^(-t) dt (DLMF 8.2.2), T > 0.
+
+    For s <= 1, t^(s-1) <= T^(s-1) on t >= T, so Gamma(s, T) <= T^(s-1) e^(-T).
+    For s > 1 and T > s - 1, put t = T + u: (1 + u/T)^(s-1) <= e^((s-1) u/T), so
+      Gamma(s, T) <= T^(s-1) e^(-T) int_0^inf e^(-(1 - (s-1)/T) u) du
+                  = T^(s-1) e^(-T) / (1 - (s-1)/T).
+    Otherwise B = inf. B is formed in logs, as T^(s-1) leaves double range long
+    before e^(-T) T^(s-1) does; raising the log by 1e-14 times the sum of its
+    terms' moduli covers the rounding of log, log1p and exp.
+    """
+    if T == math.inf:
+        return 0.0
+    if not T > 0.0:
+        return math.inf
+    terms = [math.log(scale), (s - 1.0) * math.log(T), -T]
+    if s > 1.0:
+        if not T > s - 1.0:
+            return math.inf
+        terms.append(-math.log1p(-(s - 1.0) / T))
+    log_b = sum(terms) + 1e-14 * (1.0 + sum(map(abs, terms)))
+    return math.exp(log_b) if log_b < 709.0 else math.inf
+
+
+def _poly_gaussian_mass(coeffs: tuple, q: float, X: float) -> float:
+    """Tail mass of P(x) e^(-x^2): sum_m |c_m| Gamma((q+m)/2, X^2)/2, bounded.
+
+    For x >= X > 0, |P(+-x)| <= sum_m |c_m| x^m, and t = x^2 turns
+    int_X^inf x^(q+m-1) e^(-x^2) dx into Gamma((q+m)/2, X^2)/2; each term is
+    bounded by _upper_gamma_bound. X^2 = inf leaves a mass of 0.
+    """
+    T = X * X
+    return sum(_upper_gamma_bound((q + m) / 2.0, T, 0.5 * abs(c))
+               for m, c in enumerate(coeffs) if c)
 
 
 def _rational_bound(s: float, k: int) -> float:
@@ -142,6 +183,7 @@ _POLYGAUSS_RE = re.compile(rf"^polynomial\(({_NUM}(?:,{_NUM})*)\)\s*\*\s*gaussia
 
 _MAX_ORDER = 60
 _GAUSSIAN_BOUND = functools.partial(_poly_gaussian_bound, (1.0,))
+_GAUSSIAN_MASS = functools.partial(_poly_gaussian_mass, (1.0,))
 
 
 def builtin(name: str) -> Amplitude:
@@ -152,7 +194,8 @@ def builtin(name: str) -> Amplitude:
         return Amplitude("constant_one", 0.0, -1.0, _MAX_ORDER, _constant_stack,
                          lambda k: float(k == 0))
     if name == "gaussian":
-        return Amplitude("gaussian", 0.0, -1.0, _MAX_ORDER, _gaussian_stack, _GAUSSIAN_BOUND)
+        return Amplitude("gaussian", 0.0, -1.0, _MAX_ORDER, _gaussian_stack, _GAUSSIAN_BOUND,
+                         _GAUSSIAN_MASS)
     m = _RATIONAL_RE.match(name)
     if m:
         s = float(m.group(1))
@@ -174,12 +217,14 @@ def builtin(name: str) -> Amplitude:
             float(deg), -1.0, _MAX_ORDER,
             lambda x, order, coeffs=coeffs: _poly_gaussian_stack(x, order, coeffs),
             functools.partial(_poly_gaussian_bound, coeffs),
+            functools.partial(_poly_gaussian_mass, coeffs),
         )
     raise UnknownAmplitude(f"unknown amplitude {name!r}")
 
 
 def reflected(a: Amplitude) -> Amplitude:
-    """Amplitude x -> a(-x); same class parameters, and a's envelope constants."""
+    """Amplitude x -> a(-x); same class parameters, and a's envelope constants and
+    tail mass, which bound both signs of x."""
 
     def stack(x, order):
         d = a.deriv_stack(-x, order)
@@ -187,7 +232,8 @@ def reflected(a: Amplitude) -> Amplitude:
             d[k] = -d[k]
         return d
 
-    return Amplitude(f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, a.deriv_bound)
+    return Amplitude(f"reflect({a.name})", a.tau, a.delta, a.max_order, stack, a.deriv_bound,
+                     a.mass)
 
 
 def ladder_weight(a: Amplitude, row) -> Amplitude:
@@ -261,13 +307,18 @@ class RegularizerSpec:
     _stack: Callable[[np.ndarray, int], np.ndarray]
     bound: Callable[[int], float]
 
-    def scaled_stack(self, x, eps: float, order: int) -> np.ndarray:
-        """Derivatives in x of chi(eps x): d^k = eps^k chi^(k)(eps x)."""
-        d = self._stack(eps * np.asarray(x, dtype=float), order)
-        scale = 1.0
-        for k in range(order + 1):
-            d[k] *= scale
-            scale *= eps
+    def scaled_stack(self, x, eps, order: int) -> np.ndarray:
+        """Derivatives in x of chi(eps x): d^k = eps^k chi^(k)(eps x).
+
+        Shape (order+1, len(x)) for one eps; for a vector of eps (the rungs of a
+        ladder), (order+1, len(eps), len(x)).
+        """
+        eps, x = np.asarray(eps, dtype=float), np.asarray(x, dtype=float)
+        y = np.multiply.outer(eps, x)
+        d = self._stack(y.ravel(), order).reshape((order + 1,) + y.shape)
+        # eps^k as running products, k = 0..order
+        powers = np.cumprod(np.stack([np.ones_like(eps)] + [eps] * order), axis=0)
+        d *= powers.reshape(powers.shape + (1,) * x.ndim)
         return d
 
     def uniform_bound(self, u: int) -> float:

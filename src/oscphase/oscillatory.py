@@ -5,7 +5,8 @@ abscissa X into a compact part over [0, X] (Filon quadrature after t = x^p,
 exact in the oscillation) and a tail over [X, inf) finished by an exact
 repeated integration-by-parts recursion: the adjoint operator L* applied
 until the boundary terms plus a certified envelope remainder meet the
-tolerance, with X doubled until they do. Large exponents q are first peeled
+tolerance, with X doubled until they do; where the amplitude has a proved
+tail mass that meets it alone, the tail is 0. Large exponents q are first peeled
 off by the ladder identity when that predicts less roundoff than the direct
 split: the same split then runs once, on exponent q - p l with the weight
 sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l.
@@ -24,16 +25,15 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .amplitudes import Amplitude, RegularizerSpec, corner_slope, ladder_weight, reflected
-from .errors import ClassError, ConvergenceError, DomainError, OrderError
+from .errors import BudgetError, ClassError, ConvergenceError, DomainError, OrderError
 from .ibp import ibp_coefficients, ibp_depth
-from .quadrature import adaptive, corner_graded, osc_power_integral
+from .quadrature import _ROUNDOFF, adaptive, corner_graded, osc_power_integral
 
-_EPS = 2.2e-16
 _FAR_STEP_CAP = 70
 _TAIL_TOL = 1e-14  # least remainder bound the far-tail recursion aims for
 
@@ -100,7 +100,7 @@ class _TermChain:
 
     Nothing here depends on eps: the coefficients follow from p, lam and the
     exponents, and bound_beyond uses chi's constants, which are uniform in
-    0 < eps < 1. Only value_at reads eps, so one chain serves every rung of
+    0 < eps < 1. Only derivs_at reads eps, so one chain serves every rung of
     an eps ladder; its steps and the envelope sums behind its bounds are
     memoized, and every step shares the envelope weight rows.
     """
@@ -117,7 +117,7 @@ class _TermChain:
         self.ja = len(c) - 1 if ja is None else ja
         self.weights = [] if weights is None else weights
         self._next = None
-        self._mass = None  # [(net exponent, weight)] of the envelope sum
+        self._sums = None  # [(net exponent, weight)] of the envelope sum
 
     def step(self) -> "_TermChain":
         if self._next is not None:
@@ -138,24 +138,21 @@ class _TermChain:
                                 self.e_base, out, self.n + 1, ja, self.weights)
         return self._next
 
-    def _derivs_at(self, x: float, memo: dict, eps: float):
-        """g^(0..K)(x); memo keeps the stacks at (x, eps) across the steps of one recursion."""
-        a = _grown(memo, "a", self.ja, self.amp.max_order,
-                   lambda m: self.amp.deriv_stack(np.array([x]), m)[:, 0])
-        if self.chi is None:
-            return a
-        top = len(self.c) - 1
-        cd = _grown(memo, "chi", top, self.chi.max_order,
-                    lambda m: self.chi.scaled_stack(np.array([x]), eps, m)[:, 0])
-        g = memo.setdefault("g", [])
-        for k in range(len(g), top + 1):
-            g.append(sum(math.comb(k, j) * a[j] * cd[k - j] for j in range(min(k, self.ja) + 1)))
-        return g
+    def derivs_at(self, x: float, eps=None) -> list:
+        """g^(0..K)(x) at this step's orders, which cover every earlier step's.
 
-    def value_at(self, x: float, memo: dict, eps: float = 0.0) -> complex:
-        """The chain at x with chi(eps x); pass one memo per (x, eps) for every
-        step of one recursion."""
-        g = self._derivs_at(x, memo, eps)
+        With chi, each g^(k) holds one value per eps, an array when eps is a
+        vector of rungs: a's stack once, chi's once for all rungs at eps x.
+        """
+        a = self.amp.deriv_stack(np.array([x]), self.ja)[:, 0]
+        if self.chi is None:
+            return a.tolist()
+        cd = self.chi.scaled_stack(np.array([x]), eps, len(self.c) - 1)[..., 0]
+        return [sum(math.comb(k, j) * a[j] * cd[k - j] for j in range(min(k, self.ja) + 1))
+                for k in range(len(self.c))]
+
+    def value_at(self, x: float, g) -> complex:
+        """The chain at x from rows g of derivs_at at this step or a later one."""
         acc = 0.0 + 0.0j
         for k, c in enumerate(self.c):
             acc += c * x ** (self.e_base + k - self.p * self.n) * g[k]
@@ -182,21 +179,29 @@ class _TermChain:
         return rows
 
     def bound_beyond(self, x: float) -> float:
-        """Envelope bound of the chain's integral over [x, inf), for every eps."""
-        if self._mass is None:
+        """Bound of the chain's integral over [x, inf), for every eps.
+
+        The envelope sum; at step 0 of a one-term chain c x^e_base a chi_eps it
+        is also |c| C_0 mass(e_base + 1, x), from |chi_eps| <= C_0 and the
+        amplitude's tail mass, and the bound is the lesser of the two.
+        """
+        if self._sums is None:
             e0 = self.e_base - self.p * self.n + self.amp.tau
-            mass: dict = {}
+            sums: dict = {}
             for c, row in zip(self.c, self._weight_rows()):
                 if c != 0.0:
                     for s, w in row.items():
-                        mass[s] = mass.get(s, 0.0) + abs(c) * w
-            self._mass = [(e0 + s, m) for s, m in mass.items()]
+                        sums[s] = sums.get(s, 0.0) + abs(c) * w
+            self._sums = [(e0 + s, m) for s, m in sums.items()]
         total = 0.0
-        for e_net, m in self._mass:
+        for e_net, m in self._sums:
             if e_net >= -1.0:
                 total = math.inf
                 break
             total += m * x ** (e_net + 1.0) / (-e_net - 1.0)
+        if self.n == 0 and len(self.c) == 1 and self.amp.mass is not None:
+            c0 = self.chi.uniform_bound(0) if self.chi is not None else 1.0
+            total = min(total, abs(self.c[0]) * c0 * self.amp.mass(self.e_base + 1.0, x))
         return total
 
     def order_budget_ok(self) -> bool:
@@ -205,31 +210,24 @@ class _TermChain:
             self.chi is None or len(self.c) <= self.chi.max_order)
 
 
-def _grown(memo: dict, key: str, order: int, cap: int, stack):
-    """Rows 0..order of stack(m) at one abscissa, re-evaluated at twice the order
-    (at most cap) when a step needs more than memo holds."""
-    rows = memo.get(key)
-    if rows is None or len(rows) <= order:
-        m = order if rows is None else min(max(order, 2 * len(rows)), cap)
-        rows = memo[key] = stack(m)
-    return rows
-
-
-def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
+def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
     Walks the chain's bounds first and stops at the first step whose bound is
     <= tol, or, when a bound exceeds 10x the best so far or the derivative
     orders run out, settles for the step with the smallest bound. Returns
-    (value, remainder_bound) with value the boundary terms up to that step at
-    chi(eps x). value is None when the bound does not reach tol (then no
-    boundary term is evaluated) or when a boundary term leaves double range.
-    Raises OverflowError when X^p does, as X cannot double further.
+    (value, remainder_bound) with value the boundary terms before that step
+    at chi(eps x), one per rung when eps is a vector; 0 when step 0's bound,
+    the amplitude's tail mass, certifies. value is None when the bound does
+    not reach tol (then no boundary term is evaluated) or when a boundary
+    term leaves double range. Raises OverflowError when X^p does, as X cannot
+    double further.
     """
-    bounds = []
+    bounds, links = [], []
     best = 0
     link = chain
     for n in range(_FAR_STEP_CAP):
+        links.append(link)
         b = link.bound_beyond(X)
         bounds.append(b)
         if b < bounds[best]:
@@ -243,35 +241,31 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps: float = 0.0):
         link = link.step()
     if not bounds[best] <= tol:
         return None, bounds[best]
+    if best == 0:
+        return 0.0, bounds[0]
     p, lam, s = chain.p, chain.lam, chain.sign
     try:
         phase = cmath.exp(1j * s * lam * X**p)
     except OverflowError:
         raise OverflowError("tail abscissa overflowed double precision") from None
     total = 0.0 + 0.0j
-    memo: dict = {}
-    link = chain
     # far out the amplitude's stack may overflow: a term is then inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(best):
-            try:
-                term = -phase * link.value_at(X, memo, eps) / (s * 1j * lam * p * X ** (p - 1.0))
-            except OverflowError:
-                term = math.inf
-            if not cmath.isfinite(term):
-                return None, min(bounds[: n + 1])
-            total += term
-            link = link.step()
-    return total, bounds[best]
+        g = links[best - 1].derivs_at(X, eps)
+        try:
+            for link in links[:best]:
+                total += -phase * link.value_at(X, g) / (s * 1j * lam * p * X ** (p - 1.0))
+        except OverflowError:
+            return None, bounds[best]
+    finite = cmath.isfinite(total) if isinstance(total, complex) else np.isfinite(total).all()
+    return (total if finite else None), bounds[best]
 
 
-def _tail(chain: _TermChain, X: float, eps: float = 0.0):
+def _tail(chain: _TermChain, X: float, eps=None):
     """Boundary-term recursion over [X, inf) from the first of X, 2X, 4X, ...
     where it certifies: the remainder bound reaches _TAIL_TOL and every
-    boundary term is finite. Returns (X, value, bound).
-
-    The abscissas depend on the starting X only, so the rungs of an eps
-    ladder walk the same ones on the chain's memoized steps.
+    boundary term is finite, for every rung when eps is a vector. Returns
+    (X, value, bound).
     """
     while X < math.inf:
         value, bound = _by_parts_from(chain, X, _TAIL_TOL, eps)
@@ -344,7 +338,8 @@ def os_integral_halfline(
     value = _ensure_finite(pref * (complex(compact.value[0]) + far_val), "half-line integral")
     return QuadratureReport(
         value=value,
-        est_error=abs(pref) * (float(compact.est_error[0]) + far_bound) + 5.0 * _EPS * abs(value),
+        est_error=(abs(pref) * (float(compact.est_error[0]) + far_bound)
+                   + 5.0 * _ROUNDOFF * abs(value)),
         nodes_used=compact.nodes_used,
         ibp_depth_used=l + ibp_depth(p, q_l, b.tau, b.delta).l_pq,
         tail_cut=X,
@@ -358,12 +353,18 @@ def os_integral_fullline(
     """Os-integral of e^(sign i lam x^m) a(x) over the whole line.
 
     The reflected half-line carries phase sign * (-1)^m and amplitude a(-x).
+    max_nodes limits the whole call: the left half gets what the right left.
     """
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"full-line power must be a positive integer, got {m!r}")
+    cfg = cfg or QuadratureConfig()
     right = os_integral_halfline(float(m), 1.0, sign, lam, a, cfg)
+    left_nodes = cfg.max_nodes - right.nodes_used
+    if left_nodes < 1:
+        raise BudgetError(f"node budget {cfg.max_nodes} spent on the right half line")
     sign_left = sign * (-1) ** m
-    left = os_integral_halfline(float(m), 1.0, sign_left, lam, reflected(a), cfg)
+    left = os_integral_halfline(float(m), 1.0, sign_left, lam, reflected(a),
+                                replace(cfg, max_nodes=left_nodes))
     return QuadratureReport(
         value=right.value + left.value,
         est_error=right.est_error + left.est_error,
@@ -396,9 +397,9 @@ def epsilon_regularized(
 
     Polynomial extrapolation in eps of degree min(4, len-1) over the smallest
     rungs, per the empirical convergence of the regularized family. The
-    ladder defaults to default_eps_ladder(p, lam). Every rung's tail runs from
-    one common X, so one compact call integrates all rungs over [0, X], and
-    max_nodes limits the whole call.
+    ladder defaults to default_eps_ladder(p, lam). One tail walk serves every
+    rung, from the first X where all of them certify, so one compact call
+    integrates all rungs over [0, X], and max_nodes limits the whole call.
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, q, lam, sign, a, cfg)
@@ -414,21 +415,17 @@ def epsilon_regularized(
         X0 = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
     except OverflowError:
         raise OverflowError("epsilon-path split abscissa overflowed double precision") from None
+    # the chain's bounds do not depend on eps: one walk for every rung
     chain = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
-    # one X for every rung: the chain's bounds do not depend on eps, so the
-    # rungs' tails part only where a boundary term overflows at some eps
-    X, tails = X0, None
-    while tails is None or any(x != X for x, _, _ in tails):
-        tails = [_tail(chain, X, e) for e in eps]
-        X = max(x for x, _, _ in tails)
+    X, far, _ = _tail(chain, X0, eps)
 
     def weight(x):
-        return a.deriv_stack(x, 0)[0] * np.array([chi.scaled_stack(x, e, 0)[0] for e in eps])
+        return a.deriv_stack(x, 0)[0] * chi.scaled_stack(x, eps, 0)[0]
 
     compact = osc_power_integral(weight, X, p, q, lam, sign, weight(np.zeros(1))[:, 0],
                                  corner_slope(a, chi), 0.25 * cfg.abs_tol, 0.25 * cfg.rel_tol,
                                  cfg.max_nodes)
-    vals = [complex(v) + far_val for v, (_, far_val, _) in zip(compact.value, tails)]
+    vals = [complex(v) for v in compact.value + far]
     deg = min(4, len(eps) - 1)
     extr = [
         neville_at_zero(eps[i - deg : i + 1], vals[i - deg : i + 1])

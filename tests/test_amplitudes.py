@@ -270,6 +270,27 @@ def test_reflected_amplitude():
     assert ref.tau == pg.tau and ref.delta == pg.delta
 
 
+@pytest.mark.parametrize("name,coeffs,reflect", [
+    ("gaussian", (1,), False),
+    ("polynomial(1,-2,0,3)*gaussian", (1, -2, 0, 3), False),
+    ("polynomial(1,0,1)*gaussian", (1, 0, 1), True),
+])
+def test_tail_mass_bounds_the_tail(name, coeffs, reflect):
+    # P(+-x) > 0 for x >= 0.5 in these three cases, so the tail integral of
+    # x^(q-1) |P(+-x)| e^(-x^2) is sum_m c_m Gamma((q+m)/2, X^2)/2 exactly
+    a = reflected(builtin(name)) if reflect else builtin(name)
+    sgn = -1 if reflect else 1
+    with mp.workdps(30):
+        for q in (0.05, 0.5, 1.0, 2.5, 7.0, 40.0):
+            for X in (0.5, 2.0, 6.0, 30.0, 1e3, 1e56):
+                exact = sum(c * sgn**m * mp.gammainc(mp.mpf(q + m) / 2, mp.mpf(X) ** 2) / 2
+                            for m, c in enumerate(coeffs) if c)
+                assert exact > 0
+                assert a.mass(q, X) >= float(exact), (q, X)
+    # in logs, where X^(q-1) and e^(-X^2) alone leave double range
+    assert a.mass(40.0, 1e56) == 0.0
+
+
 def test_regularizer_normalization():
     at_zero = [chi.scaled_stack(np.zeros(1), 1.0, 2)[:, 0]
                for chi in (default_regularizer(), rational_regularizer())]

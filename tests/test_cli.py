@@ -3,9 +3,12 @@
 import cmath
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+import oscphase.cli as cli_mod
+from oscphase import builtin
 from oscphase.cli import main
 
 
@@ -214,23 +217,24 @@ def test_negative_exponent_is_a_domain_error(capsys, argv):
 
 
 def test_tail_abscissa_overflow_exit_code(capsys):
-    # at p = 0.1 and q = 0.5, wherever the remainder bound certifies, some
-    # boundary term multiplies a power of X beyond double range by a Gaussian
-    # derivative that underflows to 0; the NaN makes X double out of range
-    code = main(["oscint", "--halfline", "--p", "0.1", "--q", "0.5", "--lambda", "0.01",
-                 "--amplitude", "polynomial(1,0,1)*gaussian"])
+    # at p = 0.1, q = 0.9 and lambda = 0.01 the constant amplitude's remainder
+    # bound does not certify while X stays in double range (X0 ~ 1e46), and
+    # X doubles out of range
+    code = main(["oscint", "--halfline", "--p", "0.1", "--q", "0.9", "--lambda", "0.01",
+                 "--amplitude", "constant_one"])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == "" and err == "error: tail abscissa overflowed double precision\n"
 
 
-def test_tail_phase_overflow_exit_code(capsys):
-    # the envelope constants of polynomial(1e300,0,1e300)*gaussian are near
-    # 1e300, so the remainder bound first certifies at X ~ 1.5e154, where X^2
-    # leaves double range; the error names the tail abscissa instead of
-    # printing Python's errno text
-    code = main(["oscint", "--halfline", "--p", "2",
-                 "--amplitude", "polynomial(1e300,0,1e300)*gaussian"])
+def test_tail_phase_overflow_exit_code(capsys, monkeypatch):
+    # polynomial(1e300,0,1e300)*gaussian without its tail mass: the envelope
+    # constants are near 1e300, so the remainder bound first certifies at
+    # X ~ 1.5e154, where X^2 leaves double range; the error names the tail
+    # abscissa instead of printing Python's errno text
+    huge = replace(builtin("polynomial(1e300,0,1e300)*gaussian"), mass=None)
+    monkeypatch.setattr(cli_mod, "builtin", lambda name: huge)
+    code = main(["oscint", "--halfline", "--p", "2", "--amplitude", "huge"])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == "" and err == "error: tail abscissa overflowed double precision\n"

@@ -116,7 +116,8 @@ def test_term_chain_hand_case():
     lam, x = 3.7, 1.9
     chain = _TermChain(2.0, lam, +1, builtin("constant_one"), None, 0.0, [1.0 + 0.0j], ja=0)
     expect = (1j / (2.0 * lam)) * (-1.0) * x**-2.0
-    assert chain.step().value_at(x, {}) == pytest.approx(expect, rel=1e-14)
+    link = chain.step()
+    assert link.value_at(x, link.derivs_at(x)) == pytest.approx(expect, rel=1e-14)
 
 
 def test_transformed_tail_decays_at_integrable_rate():
@@ -130,6 +131,6 @@ def test_transformed_tail_decays_at_integrable_rate():
     for _ in range(d.l_pq):
         chain = chain.step()
     xs = [10.0, 20.0, 40.0]
-    vals = [abs(chain.value_at(x, {})) for x in xs]
+    vals = [abs(chain.value_at(x, chain.derivs_at(x))) for x in xs]
     slope = np.polyfit(np.log(xs), np.log(vals), 1)[0]
     assert slope <= beta + 0.1

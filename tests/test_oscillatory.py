@@ -25,7 +25,7 @@ from oscphase import (
     rational_regularizer,
     rotated_contour_reference,
 )
-from oscphase.amplitudes import _gaussian_stack
+from oscphase.amplitudes import RegularizerSpec, _gaussian_stack
 from oscphase.ibp import coefficient_rows
 import oscphase.oscillatory as osc_mod
 import oscphase.quadrature as quad_mod
@@ -40,6 +40,8 @@ from oscphase.verification import GRID_P
 
 ONE = builtin("constant_one")
 GAUSS = builtin("gaussian")
+# the gaussian without its tail mass: the recursion alone must certify the tail
+GAUSS_NO_MASS = Amplitude("gaussian-no-mass", 0.0, -1.0, 60, _gaussian_stack, GAUSS.bound)
 
 
 def test_fresnel_anchor_quadrature():
@@ -131,15 +133,10 @@ def test_epsilon_path_nonconstant_amplitude(name, q, sign):
 
 @pytest.mark.parametrize("sign", [+1, -1])
 def test_far_tail_recursion_brackets_the_tail(sign):
-    # the boundary-term recursion over [X, inf) with a and chi both in play
+    # the boundary-term recursion over [X, inf) with a and chi both in play;
+    # with the tail mass, step 0's bound is the mass and the value is 0
     p, q, lam, eps, X = 2.0, 1.5, 1.0, 0.05, 4.0
     chi = default_regularizer()
-    chain = _TermChain(p, lam, sign, GAUSS, chi, q - 1.0, [1.0 + 0.0j], ja=0)
-    # the bound does not reach 1e-14 here, so no boundary term is evaluated;
-    # asking for its least bound stops the recursion at that step
-    none, least = _by_parts_from(chain, X, 1e-14, eps)
-    assert none is None
-    value, bound = _by_parts_from(chain, X, least, eps)
 
     def f(x):
         return (np.exp(1j * sign * lam * x**p) * x ** (q - 1.0)
@@ -148,8 +145,15 @@ def test_far_tail_recursion_brackets_the_tail(sign):
     # beyond x = 12 the integrand is below e^(-144); breakpoints pi of phase apart
     pts = np.append((np.arange(lam * X**p, lam * 12.0**p, math.pi) / lam) ** (1.0 / p), 12.0)
     direct = adaptive(f, pts, 1e-22, 1e-13, 10**6)
-    assert math.isfinite(bound) and bound < abs(direct.value) * 1e3
-    assert abs(value - direct.value) <= bound + direct.est_error
+    for amp in (GAUSS_NO_MASS, GAUSS):
+        chain = _TermChain(p, lam, sign, amp, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+        # the bound does not reach 1e-14 here, so no boundary term is evaluated;
+        # asking for its least bound stops the recursion at that step
+        none, least = _by_parts_from(chain, X, 1e-14, eps)
+        assert none is None
+        value, bound = _by_parts_from(chain, X, least, eps)
+        assert math.isfinite(bound) and bound < abs(direct.value) * 1e3, amp.name
+        assert abs(value - direct.value) <= bound + direct.est_error, amp.name
 
 
 def test_term_chain_collapses_the_lattice():
@@ -171,11 +175,14 @@ def test_term_chain_collapses_the_lattice():
     with mp.workdps(40):  # a * chi_eps = e^(-x^2) e^(-(eps x)^2)
         g = [float(mp.diff(lambda y: mp.e ** (-(1 + eps**2) * y**2), mp.mpf(x), k))
              for k in range(7)]
-    memo: dict = {}
+    deepest = chain
+    for _ in range(5):
+        deepest = deepest.step()
+    shared = deepest.derivs_at(x, eps)
     for n in range(6):
         expect = sum(c * x ** (q - 1.0 - p * n + k) * g[k] for k, c in enumerate(chain.c))
-        got = chain.value_at(x, memo, eps)
-        assert got == chain.value_at(x, {}, eps)  # stacks kept across steps change nothing
+        got = chain.value_at(x, chain.derivs_at(x, eps))
+        assert got == chain.value_at(x, shared)  # rows of a later step change nothing
         assert got == pytest.approx(expect, rel=1e-13, abs=1e-300)
         brute = 0.0
         for k, c in enumerate(chain.c):
@@ -200,11 +207,16 @@ def test_shared_chain_matches_a_fresh_chain_per_eps(name):
     X = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
     a, chi = builtin(name), default_regularizer()
     shared = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+    rungs = []
     for eps in (0.05, 0.005):
         got = _by_parts_from(shared, X, 1e-14, eps)
         fresh = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
         assert got[0] is not None and got[1] <= 1e-14
         assert got == _by_parts_from(fresh, X, 1e-14, eps)
+        rungs.append(got)
+    # one walk for both rungs gives each rung's value, bit for bit
+    values, bound = _by_parts_from(shared, X, 1e-14, np.array([0.05, 0.005]))
+    assert [(complex(v), bound) for v in np.broadcast_to(values, 2)] == rungs
 
 
 def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
@@ -216,7 +228,9 @@ def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
         return value_at(self, *args)
 
     monkeypatch.setattr(_TermChain, "value_at", counted)
-    chain = _TermChain(2.0, 1.0, +1, GAUSS, default_regularizer(), 0.5, [1.0 + 0.0j], ja=0)
+    # without the tail mass, which would certify at X = 12 with no boundary term
+    chain = _TermChain(2.0, 1.0, +1, GAUSS_NO_MASS, default_regularizer(), 0.5, [1.0 + 0.0j],
+                       ja=0)
     # at X = 4 the least bound is about 2.5e-6, far above 1e-14
     value, bound = _by_parts_from(chain, 4.0, 1e-14, 0.05)
     assert value is None and 1e-14 < bound < math.inf
@@ -249,6 +263,27 @@ def test_epsilon_path_integrates_once_per_rung(monkeypatch, p, name):
     monkeypatch.setattr(osc_mod, "osc_power_integral", compact)
     epsilon_regularized(p, 1.0, +1, 1.0, builtin(name), default_regularizer())
     assert calls == {"adaptive": 0, "compact": [len(default_eps_ladder(p, 1.0))]}
+
+
+def test_epsilon_tail_evaluates_chi_once_for_all_rungs(monkeypatch):
+    # one tail walk serves every rung: chi's stack at the tail abscissa is
+    # evaluated once, for all rungs, at the X that certifies; a gaussian's
+    # tail mass certifies with no boundary term at all
+    calls = []
+    scaled_stack = RegularizerSpec.scaled_stack
+
+    def counted(self, x, eps, order):
+        if np.size(x) == 1 and np.all(np.asarray(x) > 0.0):  # not w(0) of the compact part
+            calls.append(np.size(eps))
+        return scaled_stack(self, x, eps, order)
+
+    monkeypatch.setattr(RegularizerSpec, "scaled_stack", counted)
+    rungs = len(default_eps_ladder(1.0, 1.0))
+    epsilon_regularized(1.0, 0.5, +1, 1.0, ONE, default_regularizer())
+    assert calls == [rungs]
+    calls.clear()
+    epsilon_regularized(2.0, 0.5, +1, 1.0, GAUSS, default_regularizer())
+    assert calls == []
 
 
 def _compact_nodes(monkeypatch):
@@ -426,11 +461,12 @@ def _small_power_reference(name, q, lam, p=0.1):
         * cmath.exp(1j * math.pi * (q - 2 * k) / (2.0 * p)) for k in range(1, 4))
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.01, 1.0])
+@pytest.mark.parametrize("lam", [1e-3, 0.01, 0.1, 1.0])
 def test_small_power_tail_is_honest(lam):
-    # at p = 0.1 the tail starts at X0 ~ 1e26..1e56; for the Gaussian the
-    # remainder bound there stays above tolerance, and X doubles until it
-    # certifies
+    # at p = 0.1 the tail starts at X0 ~ 1e26..1e56; for the Gaussian types
+    # the tail mass certifies there at once, while the recursion's boundary
+    # terms would multiply c_k X^e beyond double range by derivatives that
+    # underflow to 0
     p = 0.1
     rep = os_integral_halfline(p, 0.05, +1, lam, ONE)
     expect = lam ** (-0.05 / p) * generalized_fresnel(p, 0.05, +1).value
@@ -439,8 +475,13 @@ def test_small_power_tail_is_honest(lam):
         rep = os_integral_halfline(p, q, +1, lam, builtin("rational_decay(1)"))
         expect = _small_power_reference("rational_decay(1)", q, lam)
         assert abs(rep.value - expect) <= rep.est_error, q
-    rep = os_integral_halfline(p, 0.05, +1, lam, GAUSS)
-    assert abs(rep.value - _small_power_reference("gaussian", 0.05, lam)) <= rep.est_error
+    for name in ("gaussian", "polynomial(1,0,1)*gaussian"):
+        for q in (0.05, 0.5):
+            rep = os_integral_halfline(p, q, +1, lam, builtin(name))
+            expect = _small_power_reference("gaussian", q, lam)
+            if name != "gaussian":  # x^2 e^(-x^2) is the gaussian at q + 2
+                expect += _small_power_reference("gaussian", q + 2.0, lam)
+            assert abs(rep.value - expect) <= rep.est_error, (name, q)
 
 
 @pytest.mark.parametrize("p", [20.0, 33.0])
@@ -664,6 +705,17 @@ def test_ladder_sub_integrals_stay_within_budget():
     rep = os_integral_halfline(1.0, 6.0, +1, 1e3, amp, cfg)
     assert rep.nodes_used <= cfg.max_nodes
     assert math.isfinite(rep.est_error)
+
+
+@pytest.mark.parametrize("max_nodes", [3000, 3840, 5000])
+def test_fullline_node_budget_covers_whole_call(max_nodes):
+    # the left half gets what the right half left of max_nodes
+    cfg = QuadratureConfig(max_nodes=max_nodes)
+    try:
+        rep = os_integral_fullline(2, +1, 1.0, GAUSS, cfg)
+    except BudgetError:
+        return
+    assert rep.nodes_used <= cfg.max_nodes
 
 
 @pytest.mark.parametrize(
