@@ -9,7 +9,10 @@ tolerance, with X doubled until they do; where the amplitude has a proved
 tail mass that meets it alone, the tail is 0. Large exponents q are first peeled
 off by the ladder identity when that predicts less roundoff than the direct
 split: the same split then runs once, on exponent q - p l with the weight
-sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l.
+sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l. The full
+line is the same split over two rows, a with its sign and the reflected
+a(-x) with sign (-1)^m: each row walks its own tail, and one compact call
+integrates both.
 
 The epsilon-regularization path computes the defining limit: the integrals
 with chi(eps x) inserted, along a decreasing eps ladder, extrapolated to
@@ -25,12 +28,12 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .amplitudes import Amplitude, RegularizerSpec, corner_slope, ladder_weight, reflected
-from .errors import BudgetError, ClassError, ConvergenceError, DomainError, OrderError
+from .errors import ClassError, ConvergenceError, DomainError, OrderError
 from .ibp import ibp_coefficients, ibp_depth
 from .quadrature import _ROUNDOFF, adaptive, corner_graded, osc_power_integral
 
@@ -53,6 +56,7 @@ class QuadratureReport:
     nodes_used: int
     ibp_depth_used: int
     tail_cut: float
+    converged: bool  # whether the compact part met its tolerance
 
 
 def _check_common(p: float, q: float, lam: float, sign: int, a: Amplitude,
@@ -248,15 +252,23 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None):
         phase = cmath.exp(1j * s * lam * X**p)
     except OverflowError:
         raise OverflowError("tail abscissa overflowed double precision") from None
-    total = 0.0 + 0.0j
+    # every boundary term is f times its chain at X: sum the chains' c_k X^e
+    # first, then one sum with g^(k) per rung
+    coef = [0.0] * len(links[best - 1].c)
+    try:
+        f = -phase / (s * 1j * lam * p * X ** (p - 1.0))
+        for link in links[:best]:
+            e = link.e_base - p * link.n
+            for k, c in enumerate(link.c):
+                coef[k] += c * X ** (e + k)
+    except OverflowError:
+        return None, bounds[best]
     # far out the amplitude's stack may overflow: a term is then inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        g = links[best - 1].derivs_at(X, eps)
-        try:
-            for link in links[:best]:
-                total += -phase * link.value_at(X, g) / (s * 1j * lam * p * X ** (p - 1.0))
-        except OverflowError:
-            return None, bounds[best]
+        g = np.asarray(links[best - 1].derivs_at(X, eps), dtype=float)
+    rungs = g.T.reshape(-1, len(coef)).tolist()
+    total = [f * sum(c * gk for c, gk in zip(coef, rung)) for rung in rungs]
+    total = total[0] if g.ndim == 1 else np.array(total)
     finite = cmath.isfinite(total) if isinstance(total, complex) else np.isfinite(total).all()
     return (total if finite else None), bounds[best]
 
@@ -312,6 +324,19 @@ def os_integral_halfline(
     """
     cfg = cfg or QuadratureConfig()
     _check_common(p, q, lam, sign, a, cfg)
+    return _split(p, q, lam, ((sign, a),), cfg)
+
+
+def _split(p, q, lam, rows, cfg: QuadratureConfig) -> QuadratureReport:
+    """The half line's split for the sum over rows (sign, a) of its integrals.
+
+    Every row's amplitude is a or reflected(a), which share the envelope
+    constants and the tail mass, so the rows share the peel depth and every
+    tail bound. Each row's tail starts at X0; a row that certified at a
+    smaller X than another is walked again from the larger, and one compact
+    call then integrates every row over the common [0, X].
+    """
+    a = rows[0][1]
     dp = ibp_depth(p, q, a.tau, a.delta)
     try:
         X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
@@ -327,22 +352,34 @@ def os_integral_halfline(
                 f"({a.max_order})"
             )
     row = ibp_coefficients(p, q, l).rows[l]
-    b = ladder_weight(a, row)
     q_l = q - p * l
-    X, far_val, far_bound = _tail(
-        _TermChain(p, lam, sign, a, None, q_l - 1.0, [complex(c) for c in row], ja=l), X)
-    compact = osc_power_integral(lambda x: b.deriv_stack(x, 0), X, p, q_l, lam, sign,
-                                 [b.deriv(0, 0.0)], corner_slope(b), 0.3 * cfg.abs_tol,
+    weights: list = []  # the envelope weight rows, the same for every row's chain
+    chains = [_TermChain(p, lam, s, amp, None, q_l - 1.0, [complex(c) for c in row], ja=l,
+                         weights=weights) for s, amp in rows]
+    tails = [_tail(chain, X) for chain in chains]
+    while len({t[0] for t in tails}) > 1:
+        X = max(t[0] for t in tails)
+        tails = [t if t[0] == X else _tail(chain, X) for t, chain in zip(tails, chains)]
+    X = tails[0][0]
+    bs = [ladder_weight(amp, row) for _, amp in rows]
+    compact = osc_power_integral(lambda x: np.vstack([b.deriv_stack(x, 0) for b in bs]), X, p,
+                                 q_l, lam, [s for s, _ in rows], [b.deriv(0, 0.0) for b in bs],
+                                 max(corner_slope(b) for b in bs), 0.3 * cfg.abs_tol,
                                  0.3 * cfg.rel_tol, cfg.max_nodes)
-    pref = (sign * 1j / (lam * p)) ** l
-    value = _ensure_finite(pref * (complex(compact.value[0]) + far_val), "half-line integral")
+    value, est_error = 0.0, 0.0
+    for (s, _), c, c_err, (_, far_val, far_bound) in zip(rows, compact.value, compact.est_error,
+                                                          tails):
+        pref = (s * 1j / (lam * p)) ** l
+        v = _ensure_finite(pref * (complex(c) + far_val), "half-line integral")
+        value += v
+        est_error += abs(pref) * (float(c_err) + far_bound) + 5.0 * _ROUNDOFF * abs(v)
     return QuadratureReport(
         value=value,
-        est_error=(abs(pref) * (float(compact.est_error[0]) + far_bound)
-                   + 5.0 * _ROUNDOFF * abs(value)),
+        est_error=est_error,
         nodes_used=compact.nodes_used,
-        ibp_depth_used=l + ibp_depth(p, q_l, b.tau, b.delta).l_pq,
+        ibp_depth_used=l + ibp_depth(p, q_l, bs[0].tau, bs[0].delta).l_pq,
         tail_cut=X,
+        converged=compact.converged,
     )
 
 
@@ -352,26 +389,14 @@ def os_integral_fullline(
 ) -> QuadratureReport:
     """Os-integral of e^(sign i lam x^m) a(x) over the whole line.
 
-    The reflected half-line carries phase sign * (-1)^m and amplitude a(-x).
-    max_nodes limits the whole call: the left half gets what the right left.
+    The reflected half line carries phase sign * (-1)^m and amplitude a(-x);
+    the two halves are the two rows of one split, so max_nodes limits both.
     """
     if not (isinstance(m, int) and m >= 1):
         raise DomainError(f"full-line power must be a positive integer, got {m!r}")
     cfg = cfg or QuadratureConfig()
-    right = os_integral_halfline(float(m), 1.0, sign, lam, a, cfg)
-    left_nodes = cfg.max_nodes - right.nodes_used
-    if left_nodes < 1:
-        raise BudgetError(f"node budget {cfg.max_nodes} spent on the right half line")
-    sign_left = sign * (-1) ** m
-    left = os_integral_halfline(float(m), 1.0, sign_left, lam, reflected(a),
-                                replace(cfg, max_nodes=left_nodes))
-    return QuadratureReport(
-        value=right.value + left.value,
-        est_error=right.est_error + left.est_error,
-        nodes_used=right.nodes_used + left.nodes_used,
-        ibp_depth_used=max(right.ibp_depth_used, left.ibp_depth_used),
-        tail_cut=max(right.tail_cut, left.tail_cut),
-    )
+    _check_common(float(m), 1.0, lam, sign, a, cfg)
+    return _split(float(m), 1.0, lam, ((sign, a), (sign * (-1) ** m, reflected(a))), cfg)
 
 
 # ----------------------------------------------------------------------

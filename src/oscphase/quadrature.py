@@ -1,14 +1,17 @@
 """Panel quadrature: the Filon compact engine and adaptive Gauss-Legendre panels.
 
 osc_power_integral is the one compact engine of the oscillatory integrals,
-for the half line and for every rung of the epsilon path at once: Filon
-quadrature after t = x^p (Legendre projection on geometric panels against
-spherical-Bessel moments), exact in the oscillation, so its cost hardly
-grows with the phase span. adaptive integrates non-oscillatory integrands on
-given breakpoints with an embedded Gauss-Legendre pair per panel; the
-rotated-contour reference uses it with corner_graded points. Both refine by
-bisecting the panels that carry the error mass, and all reductions run in
-fixed panel order, so results are deterministic.
+for both halves of the full line and for every rung of the epsilon path at
+once: Filon quadrature after t = x^p (Legendre projection on geometric panels
+against spherical-Bessel moments), exact in the oscillation, so its cost
+hardly grows with the phase span. The moments come as one matrix product of
+the power series or of Hankel's finite sum at small or large arguments, and
+by Miller's recurrence at the few in between. adaptive integrates
+non-oscillatory integrands on given breakpoints with an embedded
+Gauss-Legendre pair per panel; the rotated-contour reference uses it with
+corner_graded points. Both refine by bisecting the panels that carry the
+error mass, and all reductions run in fixed panel order, so results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -25,9 +28,39 @@ _N_LO, _N_HI = 15, 21
 _MAX_ROUNDS = 200
 
 
+# the first (n + 1) // 2 nodes, from -1 up, and weights of the n-point Gauss-Legendre
+# rule, as numpy.polynomial.legendre.leggauss(n) gives them to the last bit; the rest
+# follow by symmetry. Importing numpy.polynomial would cost about 3 ms of a cold start.
+_GL_HALVES = {
+    15: (
+        (-0.9879925180204854, -0.9372733924007058, -0.8482065834104272, -0.7244177313601701,
+         -0.5709721726085388, -0.3941513470775634, -0.20119409399743451, 0.0),
+        (0.030753241996117203, 0.0703660474881084, 0.10715922046717141, 0.13957067792615444,
+         0.16626920581699398, 0.1861610000155622, 0.1984314853271116, 0.2025782419255613),
+    ),
+    21: (
+        (-0.9937521706203895, -0.9672268385663063, -0.9200993341504008, -0.8533633645833173,
+         -0.7684399634756779, -0.6671388041974123, -0.5516188358872198, -0.4243421202074388,
+         -0.2880213168024011, -0.1455618541608951, 0.0),
+        (0.01601722825777436, 0.03695378977085188, 0.05713442542685717, 0.07610011362837911,
+         0.09344442345603395, 0.1087972991671484, 0.12183141605372864, 0.13226893863333763,
+         0.1398873947910734, 0.14452440398997027, 0.1460811336496907),
+    ),
+    24: (
+        (-0.9951872199970213, -0.9747285559713095, -0.9382745520027328, -0.8864155270044011,
+         -0.820001985973903, -0.7401241915785544, -0.6480936519369755, -0.5454214713888396,
+         -0.4337935076260451, -0.3150426796961634, -0.1911188674736163, -0.06405689286260563),
+        (0.01234122979998869, 0.02853138862893356, 0.04427743881741941, 0.05929858491543636,
+         0.07334648141108016, 0.0861901615319532, 0.09761865210411393, 0.10744427011596556,
+         0.11550566805372552, 0.1216704729278033, 0.12583745634682825, 0.12793819534675202),
+    ),
+}
+
+
 def _gl(n: int):
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    xs, ws = _GL_HALVES[n]
+    m = n // 2
+    return np.array(xs + tuple(-x for x in xs[m - 1 :: -1])), np.array(ws + ws[m - 1 :: -1])
 
 
 _GL_LO = _gl(_N_LO)
@@ -36,11 +69,16 @@ _GL_HI = _gl(_N_HI)
 
 @dataclass
 class QuadResult:
-    """value and est_error: scalars from adaptive, one entry per row from osc_power_integral."""
+    """value and est_error: scalars from adaptive, one entry per row from osc_power_integral.
+
+    converged is false when the refinement stopped short of the tolerance (of
+    any row): out of rounds, out of budget, or accepted at a stall.
+    """
 
     value: complex | np.ndarray
     est_error: float | np.ndarray
     nodes_used: int
+    converged: bool
 
 
 def _panel_eval(f, lo: np.ndarray, hi: np.ndarray):
@@ -74,7 +112,7 @@ def adaptive(
     """
     pts = np.asarray(points, dtype=float)
     if pts.size < 2 or pts[-1] <= pts[0]:
-        return QuadResult(0.0 + 0.0j, 0.0, 0)
+        return QuadResult(0.0 + 0.0j, 0.0, 0, True)
     while pts.size < 17:
         # tiny seeds are bisected up front: a feature narrower than a panel
         # can fool the embedded estimate on both rules at once
@@ -96,17 +134,17 @@ def adaptive(
         floor = 6.0 * _ROUNDOFF * float(np.sum(np.abs(vals)))
         target = max(abs_tol, rel_tol * abs(total), floor)
         if err <= target:
-            return QuadResult(total, max(err, floor), nodes)
+            return QuadResult(total, max(err, floor), nodes, True)
         # estimates pinned at a roundoff floor (e.g. phase evaluation noise
         # at huge lam x^p) stop improving under refinement; accept honestly
         stalls = stalls + 1 if err > 0.95 * prev_err else 0
         prev_err = err
         if stalls >= 2:
-            return QuadResult(total, max(err, floor), nodes)
+            return QuadResult(total, max(err, floor), nodes, False)
         if nodes >= max_nodes:
             if err <= 30.0 * target:
                 # near-converged: the report carries the achieved estimate
-                return QuadResult(total, max(err, floor), nodes)
+                return QuadResult(total, max(err, floor), nodes, False)
             raise BudgetError(
                 f"node budget {max_nodes} exhausted (err {err:.3e} > target {target:.3e})"
             )
@@ -129,7 +167,7 @@ def adaptive(
         order = np.argsort(lo, kind="stable")
         lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
 
-    return QuadResult(complex(np.sum(vals)), float(np.sum(errs)), nodes)
+    return QuadResult(complex(np.sum(vals)), float(np.sum(errs)), nodes, False)
 
 
 _CORNER_FACTOR = 2.0  # ratio of neighbouring corner-graded points
@@ -146,58 +184,97 @@ def corner_graded(x1: float, levels: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 _FILON_DEG = 24
-_FILON_XS, _FILON_WS = np.polynomial.legendre.leggauss(_FILON_DEG)
+_FILON_XS, _FILON_WS = _gl(_FILON_DEG)
+
+
+def _legvander(x):
+    """P_0..P_(deg-1) at x by the three-term recurrence, as numpy's legvander."""
+    v = [np.ones_like(x), x]
+    for i in range(2, _FILON_DEG):
+        v.append((v[i - 1] * x * (2 * i - 1) - v[i - 2] * (i - 1)) / i)
+    return np.stack(v, axis=-1)
+
+
 # Legendre coefficients c_n = (2n+1)/2 sum_i w_i h(x_i) P_n(x_i): (h * w) @ _FILON_VANDER
-_FILON_VANDER = np.polynomial.legendre.legvander(_FILON_XS, _FILON_DEG - 1) * (
-    (2.0 * np.arange(_FILON_DEG) + 1.0) / 2.0
-)
+_FILON_VANDER = _legvander(_FILON_XS) * ((2.0 * np.arange(_FILON_DEG) + 1.0) / 2.0)
+
+
+_HANKEL_MIN = 60.0
+# DLMF 10.53.1: j_n(x) = x^n sum_k (-x^2/2)^k / (k! (2n+2k+1)!!), k <= 16 at x <= 3
+_DFACT = [math.prod(range(1, 2 * m + 2, 2)) for m in range(_FILON_DEG + 16)]
+_SERIES = np.array([[(-0.5) ** k / (math.factorial(k) * _DFACT[n + k]) for n in range(_FILON_DEG)]
+                    for k in range(17)])
+# DLMF 10.49.6: j_n(x) = Re e^(ix) sum_(k<=n) i^(k-n-1) a_k(n+1/2) x^(-k-1), with
+# a_k(n+1/2) = (n+k)!/(2^k k! (n-k)!); as i^(k-n-1) is real or imaginary, the
+# columns hold the factors of cos x and then those of sin x in x j_n(x)
+_HANKEL = np.array([[math.factorial(n + k) / (math.factorial(k) * math.factorial(n - k) << k)
+                     if k <= n else 0.0 for n in range(_FILON_DEG)] for k in range(_FILON_DEG)])
+_I_POWER = np.subtract.outer(np.arange(_FILON_DEG), np.arange(1, _FILON_DEG + 1)) % 4
+_HANKEL = np.hstack([_HANKEL * np.array([1, 0, -1, 0])[_I_POWER],
+                     _HANKEL * np.array([0, -1, 0, 1])[_I_POWER]])
+# 2k + 1 as floats, down from Miller's highest start nmax + 12 + 1.1 x
+_ODD = [2.0 * k + 1.0 for k in range(_FILON_DEG + 12 + int(1.1 * _HANKEL_MIN))]
+
+
+def _miller(nmax: int, x: float) -> list:
+    """j_0..j_nmax at one x by Miller's downward recurrence in ratio form
+    r_k = j_k / j_(k-1), so nothing overflows; anchored on the larger of j_0 and
+    j_1, which never vanish together. For nmax = 23 and 3 <= x <= 60 its start
+    gives the same doubles as a far higher one (checked at 20,000 x)."""
+    rk, r = 0.0, [0.0] * (nmax + 1)
+    for d in _ODD[nmax + 12 + int(1.1 * x) : nmax : -1]:
+        rk = x / (d - x * rk)
+    for k in range(nmax, 0, -1):
+        rk = r[k] = x / (_ODD[k] - x * rk)
+    j0 = math.sin(x) / x
+    j1 = (j0 - math.cos(x)) / x
+    out = [j0, j0 * r[1]] if abs(j0) >= abs(j1) else [j1 / r[1], j1]
+    for k in range(2, nmax + 1):
+        out.append(out[-1] * r[k])
+    return out
 
 
 def _sph_jn(nmax: int, x: np.ndarray) -> np.ndarray:
-    """Spherical Bessel j_0..j_nmax (nmax >= 1) at every x > 0, shape (x.size, nmax + 1)."""
+    """Spherical Bessel j_0..j_nmax (1 <= nmax <= 23) at every x > 0, shape (x.size, nmax + 1).
+
+    The power series at x <= 3 and Hankel's finite sum at x > 60, each one
+    matrix product over all x; Miller's recurrence per x in between.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1, x.size))
-    large = x > nmax + 12
+    out = np.empty((x.size, _FILON_DEG))
+    small, large = x <= 3.0, x > _HANKEL_MIN
+    if small.any():
+        xs = x[small]
+        out[small] = (np.vander(xs * xs, len(_SERIES), increasing=True) @ _SERIES
+                      * np.vander(xs, _FILON_DEG, increasing=True))
     if large.any():
-        # upward recurrence is stable for x above the order
         xl = x[large]
-        jl = np.empty((nmax + 1, xl.size))
-        jl[0] = np.sin(xl) / xl
-        jl[1] = (jl[0] - np.cos(xl)) / xl
-        for k in range(1, nmax):
-            jl[k + 1] = (2 * k + 1) / xl * jl[k] - jl[k - 1]
-        out[:, large] = jl
-    rest = ~large
-    if rest.any():
-        # Miller's downward recurrence in ratio form r_k = j_k / j_(k-1), from
-        # one common start for every x; ratios neither overflow nor underflow
-        # at tiny x, so no power series is needed there
-        xm = x[rest]
-        r = np.zeros((nmax + 1, xm.size))
-        rk = np.zeros(xm.size)
-        for k in range(nmax + 22 + int(1.2 * xm.max()), 0, -1):
-            rk = xm / (2 * k + 1 - xm * rk)
-            if k <= nmax:
-                r[k] = rk
-        # anchor on the larger of j_0, j_1: they never vanish together
-        j0 = np.sin(xm) / xm
-        j1 = (j0 - np.cos(xm)) / xm
-        use0 = np.abs(j0) >= np.abs(j1)
-        out[0, rest] = np.where(use0, j0, j1 / r[1])
-        out[1, rest] = np.where(use0, j0 * r[1], j1)
-        out[2:, rest] = out[1, rest] * np.cumprod(r[2:], axis=0)
-    return out.T
+        cs = np.vander(1.0 / xl, _FILON_DEG, increasing=True) @ _HANKEL / xl[:, None]
+        out[large] = (np.cos(xl)[:, None] * cs[:, :_FILON_DEG]
+                      + np.sin(xl)[:, None] * cs[:, _FILON_DEG:])
+    for i in np.flatnonzero(~(small | large)):
+        out[i] = _miller(_FILON_DEG - 1, float(x[i]))
+    return out[:, : nmax + 1]
 
 
-def _filon_panels(h, lo, hi, s_lam):
-    """Integrals of e^(i s_lam t) h(t) over the panels [lo, hi] via Legendre projection.
+# M_n = int_(-1)^1 e^(i s theta u) P_n(u) du = 2 (s i)^n j_n(theta): real for even n,
+# s i times real for odd n, so one set of j_n serves a row of either sign s; the
+# columns sum c_n 2 (-1)^floor(n/2) j_n over the even and over the odd n
+_PARITY = np.array([[2.0 * (-1) ** (n // 2) * (n % 2 == odd) for odd in (0, 1)]
+                    for n in range(_FILON_DEG)])
 
-    h returns one row per integrand; so do the (values, errors) returned, of
-    shape (rows, panels). The rows share the nodes and the moments. Each row
-    is projected by its own (panels, degree) matrix product, as large as a
-    half-line one: a product over all rows would cross the BLAS threading
-    threshold rows times sooner, and there the threads' wake-up costs more
-    than the product. An error bounds the panel's unresolved
+
+def _filon_panels(h, lo, hi, lam, sign):
+    """Integrals of e^(i s lam t) h(t) over the panels [lo, hi] via Legendre projection.
+
+    h returns one row per integrand, and sign holds each row's s; so do the
+    (values, errors) returned, of shape (rows, panels). The rows share the
+    nodes and the moments: a row's panel value is hw e^(i s lam t_mid) (E + i s O),
+    where E and O sum c_n 2 (-1)^floor(n/2) j_n over the even and the odd n.
+    Each row is projected by its own (panels, degree) matrix product, as large
+    as a half-line one: a product over all rows would cross the BLAS
+    threading threshold rows times sooner, and there the threads' wake-up
+    costs more than the product. An error bounds the panel's unresolved
     Legendre tail. The discrete projection aliases that tail into every
     coefficient, so the last coefficients are weighed by the largest moment,
     which at small theta is j_0's and not their own.
@@ -207,11 +284,11 @@ def _filon_panels(h, lo, hi, s_lam):
     coeffs = np.empty((hv.shape[0], lo.size, _FILON_DEG))
     for row, out in zip(hv, coeffs):
         np.matmul(row.reshape(lo.size, _FILON_DEG) * _FILON_WS, _FILON_VANDER, out=out)
-    moments = 2.0 * (1j ** np.arange(_FILON_DEG)) * _sph_jn(_FILON_DEG - 1, abs(s_lam) * hw)
-    if s_lam < 0:
-        moments = np.conj(moments)
-    vals = hw * np.exp(1j * s_lam * t_mid) * (coeffs * moments).sum(axis=2)
-    errs = hw * np.abs(coeffs[..., -4:]).sum(axis=2) * np.abs(moments).max(axis=1)
+    jn = _sph_jn(_FILON_DEG - 1, lam * hw)
+    even_odd = (coeffs * jn) @ _PARITY
+    s = sign[:, None]
+    vals = hw * np.exp(1j * lam * s * t_mid) * (even_odd[..., 0] + 1j * s * even_odd[..., 1])
+    errs = hw * np.abs(coeffs[..., -4:]).sum(axis=2) * (2.0 * np.abs(jn).max(axis=1))
     errs += 1e-17 * np.abs(vals)
     return vals, errs
 
@@ -222,7 +299,7 @@ def osc_power_integral(
     p: float,
     q: float,
     lam: float,
-    sign: int,
+    sign: int | list | np.ndarray,
     w0: list | np.ndarray,
     w1: float,
     abs_tol: float,
@@ -233,14 +310,16 @@ def osc_power_integral(
 
     Filon quadrature after t = x^p: a finite Fourier integral with an
     algebraic corner at t = 0. weight(x) returns shape (rows, x.size); w0
-    holds the rows' w(0), and w1 bounds |w'| on [0, 1] for every row. The
-    rows share the panels and the moments, and a panel is split when any
-    row still short of its tolerance needs it. nodes_used
-    counts evaluations times rows, so max_nodes limits the whole batch.
-    value and est_error hold one entry per row.
+    holds the rows' w(0), and w1 bounds |w'| on [0, 1] for every row; sign is
+    one value for all rows or one per row. The rows share the panels and the
+    moments, and a panel is split when any row still short of its tolerance
+    needs it. nodes_used counts evaluations times rows, so max_nodes limits
+    the whole batch. value and est_error hold one entry per row; converged
+    says whether every row met its tolerance.
     """
     w0 = np.asarray(w0, dtype=float)
     rows = w0.size
+    sign = np.ones(rows) * sign
     s0 = q / p
     T = X**p
     # corner [0, t_min]: h ~ w(0) t^(s0-1) / p, integrated exactly; what is left
@@ -269,10 +348,10 @@ def osc_power_integral(
     nodes = rows * lo.size * _FILON_DEG
     if nodes > max_nodes:
         raise BudgetError(f"initial panelization needs {nodes} nodes, budget is {max_nodes}")
-    vals, errs = _filon_panels(h, lo, hi, sign * lam)
-    for _ in range(15):
+    vals, errs = _filon_panels(h, lo, hi, lam, sign)
+    for rounds in range(16):
         short = ~(errs.sum(axis=1) < np.maximum(abs_tol, rel_tol * np.abs(vals.sum(axis=1))))
-        if not short.any():
+        if not short.any() or rounds == 15:
             break
         # bisect the panels carrying the error mass of a row short of its
         # tolerance; keep the others' results
@@ -283,7 +362,7 @@ def osc_power_integral(
             break
         mid = 0.5 * (s_lo + s_hi)
         new_lo, new_hi = np.concatenate([s_lo, mid]), np.concatenate([mid, s_hi])
-        new_vals, new_errs = _filon_panels(h, new_lo, new_hi, sign * lam)
+        new_vals, new_errs = _filon_panels(h, new_lo, new_hi, lam, sign)
         nodes += rows * new_lo.size * _FILON_DEG
         keep = ~split
         lo = np.concatenate([lo[keep], new_lo])
@@ -295,4 +374,5 @@ def osc_power_integral(
     # the phase argument lam*t is rounded at eps relative: reported, but left
     # out of the stop test because refinement cannot reduce it
     roundoff = _ROUNDOFF * lam * (0.5 * (lo + hi) * np.abs(vals)).sum(axis=1)
-    return QuadResult(corner + vals.sum(axis=1), corner_err + errs.sum(axis=1) + roundoff, nodes)
+    return QuadResult(corner + vals.sum(axis=1), corner_err + errs.sum(axis=1) + roundoff, nodes,
+                      not short.any())

@@ -25,7 +25,7 @@ from oscphase import (
     rational_regularizer,
     rotated_contour_reference,
 )
-from oscphase.amplitudes import RegularizerSpec, _gaussian_stack
+from oscphase.amplitudes import RegularizerSpec, _gaussian_stack, reflected
 from oscphase.ibp import coefficient_rows
 import oscphase.oscillatory as osc_mod
 import oscphase.quadrature as quad_mod
@@ -221,13 +221,13 @@ def test_shared_chain_matches_a_fresh_chain_per_eps(name):
 
 def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
     calls = []
-    value_at = _TermChain.value_at
+    derivs_at = _TermChain.derivs_at
 
     def counted(self, *args):
         calls.append(self.n)
-        return value_at(self, *args)
+        return derivs_at(self, *args)
 
-    monkeypatch.setattr(_TermChain, "value_at", counted)
+    monkeypatch.setattr(_TermChain, "derivs_at", counted)
     # without the tail mass, which would certify at X = 12 with no boundary term
     chain = _TermChain(2.0, 1.0, +1, GAUSS_NO_MASS, default_regularizer(), 0.5, [1.0 + 0.0j],
                        ja=0)
@@ -235,10 +235,11 @@ def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
     value, bound = _by_parts_from(chain, 4.0, 1e-14, 0.05)
     assert value is None and 1e-14 < bound < math.inf
     assert calls == []
-    # where it certifies, every step up to the stop step is evaluated once
+    # where it certifies, the derivatives are evaluated once, at the orders of
+    # the last step before the stop step, for every boundary term
     value, bound = _by_parts_from(chain, 12.0, 1e-14, 0.05)
     assert value is not None and bound <= 1e-14
-    assert calls == list(range(len(calls))) and calls
+    assert len(calls) == 1 and calls[0] >= 1
 
 
 @pytest.mark.parametrize("name", ["constant_one", "gaussian"])
@@ -519,6 +520,18 @@ def test_budget_error():
         os_integral_halfline(2.0, 1.0, +1, 300.0, ONE, QuadratureConfig(max_nodes=200))
 
 
+def test_missed_tolerance_is_reported():
+    # zero tolerances cannot be met: the compact part stops at the budget with
+    # an honest estimate, and the report says it missed
+    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=0.0, max_nodes=20_000)
+    rep = os_integral_halfline(2.0, 1.0, +1, 1.0, ONE, cfg)
+    assert not rep.converged and rep.nodes_used <= cfg.max_nodes
+    assert abs(rep.value - generalized_fresnel(2.0, 1.0, +1).value) <= rep.est_error
+    assert os_integral_halfline(2.0, 1.0, +1, 1.0, ONE).converged
+    assert not os_integral_fullline(2, +1, 1.0, GAUSS, cfg).converged
+    assert os_integral_fullline(2, +1, 1.0, GAUSS).converged
+
+
 def test_domain_validation():
     with pytest.raises(DomainError):
         os_integral_halfline(0.0, 1.0, +1, 1.0, ONE)
@@ -592,6 +605,25 @@ def test_spherical_bessel_moments_match_mpmath():
         for n in range(24):
             ref = float(mp.sqrt(mp.pi / (2 * t)) * mp.besselj(n + 0.5, t))
             assert abs(row[n] - ref) <= 1e-15 + 1e-12 * abs(ref), (theta, n)
+
+
+def test_spherical_bessel_moments_dense_grid():
+    # the three regimes (power series to 3, Miller's recurrence to 60, Hankel's
+    # sum above) from 1e-9 to 1e6, one ulp either side of both switches, and
+    # the zeros of j_0 and j_1 below 60, where an anchor could divide by zero
+    zeros = [float(mp.besseljzero(v, k)) for v in (0.5, 1.5) for k in range(1, 20)]
+    edges = [np.nextafter(b, d) for b in (3.0, 60.0) for d in (0.0, math.inf)] + [3.0, 60.0]
+    thetas = np.concatenate([np.logspace(-9, 6, 121), np.linspace(0.5, 70.0, 56),
+                             [z for z in zeros if z < 60.0], edges])
+    got = _sph_jn(23, thetas)
+    worst = 0.0
+    with mp.workdps(40):
+        for row, theta in zip(got, thetas):
+            t = mp.mpf(float(theta))
+            for n in range(24):
+                ref = float(mp.sqrt(mp.pi / (2 * t)) * mp.besselj(n + 0.5, t))
+                worst = max(worst, abs(row[n] - ref) / (1e-15 + 1e-12 * abs(ref)))
+    assert worst <= 0.1
 
 
 @pytest.mark.parametrize(
@@ -709,7 +741,7 @@ def test_ladder_sub_integrals_stay_within_budget():
 
 @pytest.mark.parametrize("max_nodes", [3000, 3840, 5000])
 def test_fullline_node_budget_covers_whole_call(max_nodes):
-    # the left half gets what the right half left of max_nodes
+    # both halves are rows of one compact call, which max_nodes limits
     cfg = QuadratureConfig(max_nodes=max_nodes)
     try:
         rep = os_integral_fullline(2, +1, 1.0, GAUSS, cfg)
@@ -729,6 +761,54 @@ def test_ladder_node_budget_covers_whole_call(name, p, q, lam):
     except BudgetError:
         return
     assert rep.nodes_used <= cfg.max_nodes
+
+
+@pytest.mark.parametrize("name", ["gaussian", "polynomial(1,0,1)*gaussian",
+                                  "polynomial(1,1)*gaussian"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_fullline_equals_its_half_lines(m, name):
+    a = builtin(name)
+    for sign in (+1, -1):
+        for lam in (1.0, 10.0):
+            full = os_integral_fullline(m, sign, lam, a)
+            right = os_integral_halfline(float(m), 1.0, sign, lam, a)
+            left = os_integral_halfline(float(m), 1.0, sign * (-1) ** m, lam, reflected(a))
+            assert full.converged
+            assert (abs(full.value - (right.value + left.value))
+                    <= full.est_error + right.est_error + left.est_error), (sign, lam)
+
+
+def test_fullline_rows_share_one_tail_abscissa(monkeypatch):
+    # a row that certified at a smaller X is walked again from the larger one
+    calls = []
+    tail_ = osc_mod._tail
+
+    def tail(chain, X, eps=None):
+        if not calls:  # the right half starts two doublings out
+            X *= 4.0
+        calls.append(X)
+        return tail_(chain, X, eps)
+
+    monkeypatch.setattr(osc_mod, "_tail", tail)
+    rep = os_integral_fullline(2, +1, 1.0, GAUSS)
+    assert len(calls) == 3 and calls[0] == calls[2] == rep.tail_cut > calls[1]
+    assert abs(rep.value - cmath.sqrt(math.pi / (1.0 - 1j))) <= rep.est_error
+
+
+def test_fullline_runs_one_compact_call_with_two_rows(monkeypatch):
+    rows = []
+    compact_ = osc_mod.osc_power_integral
+
+    def compact(*args, **kw):
+        res = compact_(*args, **kw)
+        rows.append(len(res.value))
+        return res
+
+    monkeypatch.setattr(osc_mod, "osc_power_integral", compact)
+    rep = os_integral_fullline(1, +1, 10.0, builtin("polynomial(1,1)*gaussian"))
+    assert rows == [2]
+    expect = math.sqrt(math.pi) * math.exp(-25.0) * (1.0 + 5.0j)
+    assert abs(rep.value - expect) <= rep.est_error
 
 
 def test_ladder_call_runs_one_split(monkeypatch):

@@ -6,6 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import oscphase.quadrature as quad_mod
 from oscphase.errors import BudgetError
 from oscphase.quadrature import (
     adaptive,
@@ -13,6 +14,17 @@ from oscphase.quadrature import (
     osc_power_integral,
 )
 
+
+
+@pytest.mark.parametrize("n", [15, 21, 24])
+def test_gauss_legendre_tables_match_numpy(n):
+    # the module's tables stand in for numpy.polynomial, bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    got = quad_mod._gl(n)
+    assert got[0].tobytes() == nodes.tobytes() and got[1].tobytes() == weights.tobytes()
+    if n == quad_mod._FILON_DEG:
+        vander = np.polynomial.legendre.legvander(nodes, n - 1) * ((2.0 * np.arange(n) + 1.0) / 2.0)
+        assert quad_mod._FILON_VANDER.tobytes() == vander.tobytes()
 
 
 def test_adaptive_smooth():
@@ -51,6 +63,22 @@ def test_mildly_singular_direct_branch():
         lambda x: np.ones((1, x.size)), 1.0, 1.0, 1.5, 2.0, +1, [1.0], 0.0, 1e-12, 1e-12, 100_000
     )
     assert abs(res.value[0] - expect) <= 1e-11
+
+
+def test_rows_of_opposite_sign_match_one_row_calls():
+    # one call with a row per sign shares panels and moments; each row equals
+    # its own one-row call within their estimates
+    def weight(x):
+        g = np.exp(-x * x)
+        return np.vstack([g, (1.0 + x) * g])
+
+    args = (2.5, 2.0, 1.0, 7.0)  # X, p, q, lam
+    both = osc_power_integral(weight, *args, [+1, -1], [1.0, 1.0], 2.0, 1e-12, 1e-10, 100_000)
+    assert both.converged and both.value.shape == (2,)
+    for r, sign in enumerate((+1, -1)):
+        one = osc_power_integral(lambda x: weight(x)[r : r + 1], *args, sign, [1.0], 2.0, 1e-12,
+                                 1e-10, 100_000)
+        assert abs(both.value[r] - one.value[0]) <= both.est_error[r] + one.est_error[0]
 
 
 def test_budget_error():
