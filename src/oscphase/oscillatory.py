@@ -11,7 +11,7 @@ off by the ladder identity when that predicts less roundoff than the direct
 split: the same split then runs once, on exponent q - p l with the weight
 sum_j C[l,j] x^j a^(j) and the tail recursion started at depth l. The full
 line is the same split over two rows, a with its sign and the reflected
-a(-x) with sign (-1)^m: each row walks its own tail, and one compact call
+a(-x) with sign (-1)^m: one tail walk serves both rows, and one compact call
 integrates both.
 
 The epsilon-regularization path computes the defining limit: the integrals
@@ -142,12 +142,16 @@ class _TermChain:
                                 self.e_base, out, self.n + 1, ja, self.weights)
         return self._next
 
-    def derivs_at(self, x: float, eps=None) -> list:
+    def derivs_at(self, x: float, eps=None, amps=None) -> list:
         """g^(0..K)(x) at this step's orders, which cover every earlier step's.
 
         With chi, each g^(k) holds one value per eps, an array when eps is a
         vector of rungs: a's stack once, chi's once for all rungs at eps x.
+        Without chi, amps may list amplitudes with a's envelope constants in
+        place of a; each g^(k) then holds one value per amplitude.
         """
+        if amps is not None:
+            return np.array([b.deriv_stack(np.array([x]), self.ja)[:, 0] for b in amps]).T
         a = self.amp.deriv_stack(np.array([x]), self.ja)[:, 0]
         if self.chi is None:
             return a.tolist()
@@ -155,12 +159,14 @@ class _TermChain:
         return [sum(math.comb(k, j) * a[j] * cd[k - j] for j in range(min(k, self.ja) + 1))
                 for k in range(len(self.c))]
 
+    def powers_at(self, x: float) -> list:
+        """[c[k] x^(e_base - p*n + k)]: the chain at x is their sum with g^(k)(x)."""
+        e = self.e_base - self.p * self.n
+        return [c * x ** (e + k) for k, c in enumerate(self.c)]
+
     def value_at(self, x: float, g) -> complex:
         """The chain at x from rows g of derivs_at at this step or a later one."""
-        acc = 0.0 + 0.0j
-        for k, c in enumerate(self.c):
-            acc += c * x ** (self.e_base + k - self.p * self.n) * g[k]
-        return acc
+        return sum(ck * gk for ck, gk in zip(self.powers_at(x), g))
 
     def _weight_rows(self) -> list:
         """Row k: {(1+delta) j: sum of binom(k,j) A_j fudge_j C_(k-j)} over the live j.
@@ -214,14 +220,15 @@ class _TermChain:
             self.chi is None or len(self.c) <= self.chi.max_order)
 
 
-def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None):
+def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None, amps=None):
     """Boundary-term recursion for the integral of e^(phase) * chain over [X, inf).
 
     Walks the chain's bounds first and stops at the first step whose bound is
     <= tol, or, when a bound exceeds 10x the best so far or the derivative
     orders run out, settles for the step with the smallest bound. Returns
     (value, remainder_bound) with value the boundary terms before that step
-    at chi(eps x), one per rung when eps is a vector; 0 when step 0's bound,
+    at chi(eps x), one per rung when eps is a vector, or one per amplitude
+    of amps (see derivs_at), whose bounds are a's; 0 when step 0's bound,
     the amplitude's tail mass, certifies. value is None when the bound does
     not reach tol (then no boundary term is evaluated) or when a boundary
     term leaves double range. Raises OverflowError when X^p does, as X cannot
@@ -252,20 +259,19 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None):
         phase = cmath.exp(1j * s * lam * X**p)
     except OverflowError:
         raise OverflowError("tail abscissa overflowed double precision") from None
-    # every boundary term is f times its chain at X: sum the chains' c_k X^e
+    # every boundary term is f times its chain at X: sum the chains' powers
     # first, then one sum with g^(k) per rung
     coef = [0.0] * len(links[best - 1].c)
     try:
         f = -phase / (s * 1j * lam * p * X ** (p - 1.0))
         for link in links[:best]:
-            e = link.e_base - p * link.n
-            for k, c in enumerate(link.c):
-                coef[k] += c * X ** (e + k)
+            for k, ck in enumerate(link.powers_at(X)):
+                coef[k] += ck
     except OverflowError:
         return None, bounds[best]
     # far out the amplitude's stack may overflow: a term is then inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        g = np.asarray(links[best - 1].derivs_at(X, eps), dtype=float)
+        g = np.asarray(links[best - 1].derivs_at(X, eps, amps), dtype=float)
     rungs = g.T.reshape(-1, len(coef)).tolist()
     total = [f * sum(c * gk for c, gk in zip(coef, rung)) for rung in rungs]
     total = total[0] if g.ndim == 1 else np.array(total)
@@ -273,14 +279,14 @@ def _by_parts_from(chain: _TermChain, X: float, tol: float, eps=None):
     return (total if finite else None), bounds[best]
 
 
-def _tail(chain: _TermChain, X: float, eps=None):
+def _tail(chain: _TermChain, X: float, eps=None, amps=None):
     """Boundary-term recursion over [X, inf) from the first of X, 2X, 4X, ...
     where it certifies: the remainder bound reaches _TAIL_TOL and every
-    boundary term is finite, for every rung when eps is a vector. Returns
-    (X, value, bound).
+    boundary term is finite, for every rung when eps is a vector and for
+    every amplitude of amps. Returns (X, value, bound).
     """
     while X < math.inf:
-        value, bound = _by_parts_from(chain, X, _TAIL_TOL, eps)
+        value, bound = _by_parts_from(chain, X, _TAIL_TOL, eps, amps)
         if value is not None:
             return X, value, bound
         X *= 2.0
@@ -332,9 +338,10 @@ def _split(p, q, lam, rows, cfg: QuadratureConfig) -> QuadratureReport:
 
     Every row's amplitude is a or reflected(a), which share the envelope
     constants and the tail mass, so the rows share the peel depth and every
-    tail bound. Each row's tail starts at X0; a row that certified at a
-    smaller X than another is walked again from the larger, and one compact
-    call then integrates every row over the common [0, X].
+    tail bound: one walk of the first row's chain serves every row, with the
+    boundary terms at each row's amplitude. A row of the other sign takes
+    their conjugates, as its real amplitude's chain is the conjugate one.
+    One compact call then integrates every row over the common [0, X].
     """
     a = rows[0][1]
     dp = ibp_depth(p, q, a.tau, a.delta)
@@ -353,23 +360,19 @@ def _split(p, q, lam, rows, cfg: QuadratureConfig) -> QuadratureReport:
             )
     row = ibp_coefficients(p, q, l).rows[l]
     q_l = q - p * l
-    weights: list = []  # the envelope weight rows, the same for every row's chain
-    chains = [_TermChain(p, lam, s, amp, None, q_l - 1.0, [complex(c) for c in row], ja=l,
-                         weights=weights) for s, amp in rows]
-    tails = [_tail(chain, X) for chain in chains]
-    while len({t[0] for t in tails}) > 1:
-        X = max(t[0] for t in tails)
-        tails = [t if t[0] == X else _tail(chain, X) for t, chain in zip(tails, chains)]
-    X = tails[0][0]
+    s0 = rows[0][0]
+    chain = _TermChain(p, lam, s0, a, None, q_l - 1.0, [complex(c) for c in row], ja=l)
+    X, far, far_bound = _tail(chain, X, amps=[amp for _, amp in rows])
+    far = (np.zeros(len(rows)) + far).tolist()  # 0 when the tail mass certifies
     bs = [ladder_weight(amp, row) for _, amp in rows]
     compact = osc_power_integral(lambda x: np.vstack([b.deriv_stack(x, 0) for b in bs]), X, p,
                                  q_l, lam, [s for s, _ in rows], [b.deriv(0, 0.0) for b in bs],
                                  max(corner_slope(b) for b in bs), 0.3 * cfg.abs_tol,
                                  0.3 * cfg.rel_tol, cfg.max_nodes)
     value, est_error = 0.0, 0.0
-    for (s, _), c, c_err, (_, far_val, far_bound) in zip(rows, compact.value, compact.est_error,
-                                                          tails):
+    for (s, _), c, c_err, far_val in zip(rows, compact.value, compact.est_error, far):
         pref = (s * 1j / (lam * p)) ** l
+        far_val = far_val if s == s0 else far_val.conjugate()
         v = _ensure_finite(pref * (complex(c) + far_val), "half-line integral")
         value += v
         est_error += abs(pref) * (float(c_err) + far_bound) + 5.0 * _ROUNDOFF * abs(v)

@@ -1,6 +1,7 @@
 """Oscillatory integral paths against closed forms and each other."""
 
 import cmath
+import dataclasses
 import math
 
 import mpmath as mp
@@ -778,21 +779,31 @@ def test_fullline_equals_its_half_lines(m, name):
                     <= full.est_error + right.est_error + left.est_error), (sign, lam)
 
 
-def test_fullline_rows_share_one_tail_abscissa(monkeypatch):
-    # a row that certified at a smaller X is walked again from the larger one
+def test_fullline_rows_share_one_tail_walk(monkeypatch):
+    # the rows share every tail bound, so one walk serves both; the row of the
+    # other sign takes the conjugate boundary terms, the doubles its own chain gives
+    # without the tail mass, which would certify with no boundary term
+    a = dataclasses.replace(builtin("polynomial(1,1)*gaussian"), mass=None)
+    p, lam, b = 3.0, 1.0, reflected(a)
+    chain = _TermChain(p, lam, +1, a, None, 0.0, [1.0 + 0.0j])
+    X, both, bound = _tail(chain, 2.0, amps=[a, b])
+    assert bound <= 1e-14 and both.shape == (2,) and both[0] != both[1]
+    for sign, amp, value in ((+1, a, both[0]), (-1, b, np.conj(both[1]))):
+        assert _tail(_TermChain(p, lam, sign, amp, None, 0.0, [1.0 + 0.0j]), 2.0) == (
+            X, value, bound)
     calls = []
     tail_ = osc_mod._tail
 
-    def tail(chain, X, eps=None):
-        if not calls:  # the right half starts two doublings out
-            X *= 4.0
-        calls.append(X)
-        return tail_(chain, X, eps)
+    def tail(chain, X, eps=None, amps=None):
+        calls.append(len(amps))
+        return tail_(chain, X, eps, amps)
 
     monkeypatch.setattr(osc_mod, "_tail", tail)
-    rep = os_integral_fullline(2, +1, 1.0, GAUSS)
-    assert len(calls) == 3 and calls[0] == calls[2] == rep.tail_cut > calls[1]
-    assert abs(rep.value - cmath.sqrt(math.pi / (1.0 - 1j))) <= rep.est_error
+    rep = os_integral_fullline(3, +1, 1.0, a)
+    assert calls == [2]
+    halves = [os_integral_halfline(p, 1.0, sign, lam, amp) for sign, amp in ((+1, a), (-1, b))]
+    assert (abs(rep.value - sum(h.value for h in halves))
+            <= rep.est_error + sum(h.est_error for h in halves))
 
 
 def test_fullline_runs_one_compact_call_with_two_rows(monkeypatch):

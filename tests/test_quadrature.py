@@ -6,7 +6,6 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-import oscphase.quadrature as quad_mod
 from oscphase.errors import BudgetError
 from oscphase.quadrature import (
     adaptive,
@@ -14,17 +13,6 @@ from oscphase.quadrature import (
     osc_power_integral,
 )
 
-
-
-@pytest.mark.parametrize("n", [15, 21, 24])
-def test_gauss_legendre_tables_match_numpy(n):
-    # the module's tables stand in for numpy.polynomial, bit for bit
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    got = quad_mod._gl(n)
-    assert got[0].tobytes() == nodes.tobytes() and got[1].tobytes() == weights.tobytes()
-    if n == quad_mod._FILON_DEG:
-        vander = np.polynomial.legendre.legvander(nodes, n - 1) * ((2.0 * np.arange(n) + 1.0) / 2.0)
-        assert quad_mod._FILON_VANDER.tobytes() == vander.tobytes()
 
 
 def test_adaptive_smooth():
