@@ -6,7 +6,8 @@ Built-ins carry exact derivative recurrences and closed-form constants C_k,
 each proved where it is computed: the tail recursion's remainder bound, the
 ladder test and the Filon corner need them to be true bounds. The Gaussian
 types also carry a proved tail mass, which ends their tails without the
-recursion.
+recursion. regularized(a, chi, eps) gives the epsilon path's rows a(x) chi(eps x)
+under one envelope that holds for every eps.
 """
 
 from __future__ import annotations
@@ -249,6 +250,7 @@ def ladder_weight(a: Amplitude, row) -> Amplitude:
       |j x^(j-1) a^(j)| <= j A_j <x>^(tau + (1+delta) j - 1) and
       |x^j a^(j+1)| <= A_(j+1) <x>^(tau + (1+delta) j + delta), both at most
       <x>^(tau + (1+delta) l + delta) times their constant.
+    Where a's stack carries rows (see regularized), so does b's.
     """
     if tuple(row) == (1.0,):
         return a
@@ -260,7 +262,7 @@ def ladder_weight(a: Amplitude, row) -> Amplitude:
 
     def stack(x, order):
         d = a.deriv_stack(x, top + order)
-        out = np.zeros((order + 1, x.size))
+        out = np.zeros((order + 1,) + d.shape[1:])
         for j, c in live:
             out[0] += c * x**j * d[j]
             if order:
@@ -271,23 +273,12 @@ def ladder_weight(a: Amplitude, row) -> Amplitude:
                      lambda k: (b0, b1)[k])
 
 
-def corner_slope(a: Amplitude, chi: RegularizerSpec | None = None) -> float:
-    """Bound on |w'(x)| over 0 <= x <= 1: the Filon corner's constant.
+def corner_slope(a: Amplitude) -> float:
+    """Bound on |a'(x)| over 0 <= x <= 1: the Filon corner's constant.
 
-    w = a, or w = a chi_eps with chi_eps(x) = chi(eps x), uniformly in
-    0 < eps <= 1. On [0, 1], <x> <= sqrt(2), so |a^(j)(x)| <= A_j <x>^(tau +
-    delta j) <= A_j 2^(max(tau + delta j, 0)/2); that is the bound for w = a.
-    chi's uniform constants give |chi_eps^(u)(x)| <= C_u <x>^(-u) <= C_u, and
-    (a chi_eps)' = a' chi_eps + a chi_eps', so
-      |(a chi_eps)'| <= A_1 2^(max(tau + delta, 0)/2) C_0 + A_0 2^(max(tau, 0)/2) C_1.
-    The second term carries its own factor: for tau > 0 (polynomial * gaussian)
-    it exceeds 2^(max(tau + delta, 0)/2).
+    On [0, 1], <x> <= sqrt(2), so |a'| <= A_1 <x>^(tau + delta) <= A_1 2^(max(tau + delta, 0)/2).
     """
-    a1 = a.deriv_bound(1) * 2.0 ** (max(a.tau + a.delta, 0.0) / 2.0)
-    if chi is None:
-        return a1
-    return (a1 * chi.uniform_bound(0)
-            + a.deriv_bound(0) * 2.0 ** (max(a.tau, 0.0) / 2.0) * chi.uniform_bound(1))
+    return a.deriv_bound(1) * 2.0 ** (max(a.tau + a.delta, 0.0) / 2.0)
 
 
 # ----------------------------------------------------------------------
@@ -346,3 +337,41 @@ def rational_regularizer() -> RegularizerSpec:
         "rational", _MAX_ORDER, lambda x, order: _rational_stack(x, order, 2.0),
         lambda u: math.factorial(u) * (u + 2) / 2,
     )
+
+
+def regularized(a: Amplitude, chi: RegularizerSpec, eps=1.0) -> Amplitude:
+    """Rows a(x) chi(eps_k x), one per eps_k (one row for a scalar eps), under one envelope.
+
+    deriv_stack has scaled_stack's shape: a's stack and chi's are evaluated
+    once for all rows and combined by Leibniz over a's live orders. With K_u
+    chi's uniform constants, every row with 0 < eps <= 1 is in a's class
+    (tau, delta >= -1) with C_k = sum_j binom(k, j) A_j K_(k-j), as Leibniz gives
+      |(a chi_eps)^(k)| <= sum_j binom(k, j) A_j K_(k-j) <x>^(tau + delta k - (1+delta)(k-j))
+    and <x>^(-(1+delta)(k-j)) <= 1. |chi_eps| <= K_0 makes K_0 times a's tail
+    mass a tail mass of every row. The constants are built as far as asked for.
+    """
+    A, K, live, consts = [], [], [], []  # a's and chi's constants, a's live orders, C
+
+    def bound(k):
+        for u in range(len(consts), k + 1):
+            A.append(a.deriv_bound(u))
+            K.append(chi.uniform_bound(u))
+            if A[u] != 0.0:
+                live.append(u)
+            consts.append(sum(math.comb(u, j) * A[j] * K[u - j] for j in live))
+        return consts[k]
+
+    def stack(x, order):
+        bound(order)
+        js = [j for j in live if 0 < j <= order]
+        d = a.deriv_stack(x, max(js, default=0))
+        c = chi.scaled_stack(x, eps, order)
+        out = d[0] * c  # the j = 0 terms
+        for j in js:  # binom(k, j) a^(j) chi_eps^(k-j) for every k >= j
+            w = np.array([math.comb(k, j) for k in range(j, order + 1)], dtype=float)
+            out[j:] += w.reshape((-1,) + (1,) * (c.ndim - 1)) * d[j] * c[: order + 1 - j]
+        return out
+
+    mass = None if a.mass is None else (lambda q, X: chi.uniform_bound(0) * a.mass(q, X))
+    return Amplitude(f"{a.name}*{chi.name}(eps x)", a.tau, a.delta,
+                     min(a.max_order, chi.max_order), stack, bound, mass)

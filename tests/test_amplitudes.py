@@ -15,7 +15,7 @@ from oscphase import (
     rational_regularizer,
     reflected,
 )
-from oscphase.amplitudes import corner_slope, ladder_weight
+from oscphase.amplitudes import corner_slope, ladder_weight, regularized
 from oscphase.ibp import coefficient_rows
 
 # the bounds must hold on [-60, 60] and far beyond it, out to |x| = 1e6
@@ -118,14 +118,30 @@ def test_closed_form_constants_bound_sampled_sup(name):
     _assert_bounds_sampled_sup(
         a.deriv_stack(FAR_XS, a.max_order), a.deriv_bound, lambda k: a.tau + a.delta * k
     )
-    # the Filon corner's constant: sup |w'| on [0, 1] for w = a and w = a chi(eps x)
+    # the Filon corner's constant: sup |a'| on [0, 1]
     xs = np.linspace(0.0, 1.0, 2001)
-    d = a.deriv_stack(xs, 1)
-    assert np.max(np.abs(d[1])) <= corner_slope(a)
-    for chi in (default_regularizer(), rational_regularizer()):
-        for eps in (1.0, 0.5, 0.05, 1e-3):
-            c = chi.scaled_stack(xs, eps, 1)
-            assert np.max(np.abs(d[1] * c[0] + d[0] * c[1])) <= corner_slope(a, chi), (chi.name, eps)
+    assert np.max(np.abs(a.deriv_stack(xs, 1)[1])) <= corner_slope(a)
+
+
+@pytest.mark.parametrize("chi", [default_regularizer(), rational_regularizer()],
+                         ids=lambda chi: chi.name)
+@pytest.mark.parametrize(
+    "name",
+    ["constant_one", "gaussian", "rational_decay(0.5)", "rational_decay(1)",
+     "rational_decay(1.3)", "rational_decay(2.5)", "polynomial(1,0,1)*gaussian",
+     "polynomial(0,1)*gaussian", "polynomial(1,-2,0,0,3)*gaussian"],
+)
+def test_regularized_constants_bound_sampled_sup(name, chi):
+    # C_0..C_12 of the rows a(x) chi(eps x) hold in a's class at every eps,
+    # and so does the Filon corner's constant: sup |(a chi_eps)'| on [0, 1]
+    a = builtin(name)
+    xs = np.linspace(0.0, 1.0, 2001)
+    for eps in (1.0, 0.05, 0.005):
+        rows = regularized(a, chi, eps)
+        _assert_bounds_sampled_sup(
+            rows.deriv_stack(FAR_XS, 12), rows.deriv_bound, lambda k: a.tau + a.delta * k
+        )
+        assert np.max(np.abs(rows.deriv_stack(xs, 1)[1])) <= corner_slope(rows), eps
 
 
 @pytest.mark.parametrize(

@@ -114,7 +114,7 @@ def test_term_chain_hand_case():
     # constant amplitude, no regularizer, one step of L* at p=2, q=1:
     # (i/(2 lam)) (1-2) x^(-2)
     lam, x = 3.7, 1.9
-    chain = _TermChain(2.0, lam, +1, builtin("constant_one"), None, 0.0, [1.0 + 0.0j], ja=0)
+    chain = _TermChain(2.0, lam, +1, builtin("constant_one"), 0.0, [1.0 + 0.0j])
     expect = (1j / (2.0 * lam)) * (-1.0) * x**-2.0
     link = chain.step()
     assert link.value_at(x, link.derivs_at(x)) == pytest.approx(expect, rel=1e-14)
@@ -127,7 +127,7 @@ def test_transformed_tail_decays_at_integrable_rate():
     d = ibp_depth(p, q, a.tau, a.delta)
     beta = max(q + a.tau, 0.0) - 1.0 - (p - 1.0 - a.delta) * d.l_pq
     assert beta < -1.0
-    chain = _TermChain(p, 1.0, +1, a, None, q - 1.0, [1.0 + 0.0j], ja=0)
+    chain = _TermChain(p, 1.0, +1, a, q - 1.0, [1.0 + 0.0j])
     for _ in range(d.l_pq):
         chain = chain.step()
     xs = [10.0, 20.0, 40.0]

@@ -26,13 +26,14 @@ from oscphase import (
     rational_regularizer,
     rotated_contour_reference,
 )
-from oscphase.amplitudes import RegularizerSpec, _gaussian_stack, reflected
+from oscphase.amplitudes import RegularizerSpec, _gaussian_stack, reflected, regularized
 from oscphase.ibp import coefficient_rows
 import oscphase.oscillatory as osc_mod
 import oscphase.quadrature as quad_mod
 from oscphase.oscillatory import (
     _TermChain,
     _by_parts_from,
+    _halves,
     _tail,
     default_eps_ladder,
 )
@@ -147,23 +148,24 @@ def test_far_tail_recursion_brackets_the_tail(sign):
     pts = np.append((np.arange(lam * X**p, lam * 12.0**p, math.pi) / lam) ** (1.0 / p), 12.0)
     direct = adaptive(f, pts, 1e-22, 1e-13, 10**6)
     for amp in (GAUSS_NO_MASS, GAUSS):
-        chain = _TermChain(p, lam, sign, amp, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+        chain = _TermChain(p, lam, sign, regularized(amp, chi, eps), q - 1.0, [1.0 + 0.0j])
         # the bound does not reach 1e-14 here, so no boundary term is evaluated;
         # asking for its least bound stops the recursion at that step
-        none, least = _by_parts_from(chain, X, 1e-14, eps)
+        none, least = _by_parts_from(chain, X, 1e-14)
         assert none is None
-        value, bound = _by_parts_from(chain, X, least, eps)
+        value, bound = _by_parts_from(chain, X, least)
         assert math.isfinite(bound) and bound < abs(direct.value) * 1e3, amp.name
         assert abs(value - direct.value) <= bound + direct.est_error, amp.name
 
 
 def test_term_chain_collapses_the_lattice():
     # steps give the ibp coefficient rows; values the derivatives of a * chi_eps
-    # (mpmath); the bound the term-by-term envelope sum over (k, j), here with
-    # delta = -1/2, where the envelope exponent moves with j
+    # (mpmath); the bound the term-by-term envelope sum over k with the
+    # constants of regularized(a, chi), here with delta = -1/2, where the
+    # envelope exponent moves with k
     p, q, lam, sign, eps, x = 2.0, 1.5, 1.3, -1, 0.3, 5.0
     f = sign * 1j / (lam * p)
-    chain = _TermChain(p, lam, sign, GAUSS, None, q - 1.0, [1.0 + 0.0j])
+    chain = _TermChain(p, lam, sign, GAUSS, q - 1.0, [1.0 + 0.0j])
     for _ in range(5):
         chain = chain.step()
     rows = coefficient_rows(p, q, 5)
@@ -172,29 +174,30 @@ def test_term_chain_collapses_the_lattice():
     chi = default_regularizer()
     # delta = -1/2: the gaussian constants serve, as <x>^(-k) <= <x>^(-k/2)
     amp = Amplitude("gaussian-half", 0.0, -0.5, 60, _gaussian_stack, GAUSS.bound)
-    chain = _TermChain(p, lam, sign, amp, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+    chain = _TermChain(p, lam, sign, regularized(amp, chi, eps), q - 1.0, [1.0 + 0.0j])
     with mp.workdps(40):  # a * chi_eps = e^(-x^2) e^(-(eps x)^2)
         g = [float(mp.diff(lambda y: mp.e ** (-(1 + eps**2) * y**2), mp.mpf(x), k))
              for k in range(7)]
     deepest = chain
     for _ in range(5):
         deepest = deepest.step()
-    shared = deepest.derivs_at(x, eps)
+    shared = deepest.derivs_at(x)
     for n in range(6):
         expect = sum(c * x ** (q - 1.0 - p * n + k) * g[k] for k, c in enumerate(chain.c))
-        got = chain.value_at(x, chain.derivs_at(x, eps))
+        got = chain.value_at(x, chain.derivs_at(x))
         assert got == chain.value_at(x, shared)  # rows of a later step change nothing
         assert got == pytest.approx(expect, rel=1e-13, abs=1e-300)
         brute = 0.0
         for k, c in enumerate(chain.c):
-            for j in range(k + 1):
-                t_env = amp.tau + amp.delta * j
-                e_net = q - 1.0 - p * n + k + t_env - (k - j)
-                if e_net >= -1.0:
-                    brute = math.inf
-                    break
-                brute += (abs(math.comb(k, j) * c) * amp.deriv_bound(j) * chi.uniform_bound(k - j)
-                          * 2.0 ** (max(t_env, 0.0) / 2.0) * x ** (e_net + 1.0) / (-e_net - 1.0))
+            t_env = amp.tau + amp.delta * k
+            e_net = q - 1.0 - p * n + k + t_env
+            if e_net >= -1.0:
+                brute = math.inf
+                break
+            c_k = sum(math.comb(k, j) * amp.deriv_bound(j) * chi.uniform_bound(k - j)
+                      for j in range(k + 1))
+            brute += (abs(c) * c_k * 2.0 ** (max(t_env, 0.0) / 2.0)
+                      * x ** (e_net + 1.0) / (-e_net - 1.0))
         assert chain.bound_beyond(x) == pytest.approx(brute, rel=1e-13)
         chain = chain.step()
     assert math.isfinite(brute)
@@ -202,22 +205,23 @@ def test_term_chain_collapses_the_lattice():
 
 @pytest.mark.parametrize("name", ["constant_one", "gaussian"])
 def test_shared_chain_matches_a_fresh_chain_per_eps(name):
-    # one eps-free chain serves every rung: its memoized steps and bounds give
-    # the same boundary terms, bit for bit, as a chain built for each eps
+    # the chain's steps and bounds do not depend on eps: one walk over the
+    # rows of every rung gives each rung's boundary terms, bit for bit, as the
+    # chain of that rung alone, and so does a second walk from its memoized
+    # steps and bounds
     p, q, lam, sign = 2.0, 1.5, 1.0, +1
     X = max(4.0, 2.0 * (40.0 / (lam * p)) ** (1.0 / p))
     a, chi = builtin(name), default_regularizer()
-    shared = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
     rungs = []
     for eps in (0.05, 0.005):
-        got = _by_parts_from(shared, X, 1e-14, eps)
-        fresh = _TermChain(p, lam, sign, a, chi, q - 1.0, [1.0 + 0.0j], ja=0)
+        fresh = _TermChain(p, lam, sign, regularized(a, chi, eps), q - 1.0, [1.0 + 0.0j])
+        got = _by_parts_from(fresh, X, 1e-14)
         assert got[0] is not None and got[1] <= 1e-14
-        assert got == _by_parts_from(fresh, X, 1e-14, eps)
         rungs.append(got)
-    # one walk for both rungs gives each rung's value, bit for bit
-    values, bound = _by_parts_from(shared, X, 1e-14, np.array([0.05, 0.005]))
-    assert [(complex(v), bound) for v in np.broadcast_to(values, 2)] == rungs
+    shared = _TermChain(p, lam, sign, regularized(a, chi, [0.05, 0.005]), q - 1.0, [1.0 + 0.0j])
+    for _ in range(2):
+        values, bound = _by_parts_from(shared, X, 1e-14)
+        assert [(complex(v), bound) for v in np.broadcast_to(values, 2)] == rungs
 
 
 def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
@@ -230,15 +234,15 @@ def test_uncertified_recursion_evaluates_no_boundary_term(monkeypatch):
 
     monkeypatch.setattr(_TermChain, "derivs_at", counted)
     # without the tail mass, which would certify at X = 12 with no boundary term
-    chain = _TermChain(2.0, 1.0, +1, GAUSS_NO_MASS, default_regularizer(), 0.5, [1.0 + 0.0j],
-                       ja=0)
+    rows = regularized(GAUSS_NO_MASS, default_regularizer(), 0.05)
+    chain = _TermChain(2.0, 1.0, +1, rows, 0.5, [1.0 + 0.0j])
     # at X = 4 the least bound is about 2.5e-6, far above 1e-14
-    value, bound = _by_parts_from(chain, 4.0, 1e-14, 0.05)
+    value, bound = _by_parts_from(chain, 4.0, 1e-14)
     assert value is None and 1e-14 < bound < math.inf
     assert calls == []
     # where it certifies, the derivatives are evaluated once, at the orders of
     # the last step before the stop step, for every boundary term
-    value, bound = _by_parts_from(chain, 12.0, 1e-14, 0.05)
+    value, bound = _by_parts_from(chain, 12.0, 1e-14)
     assert value is not None and bound <= 1e-14
     assert len(calls) == 1 and calls[0] >= 1
 
@@ -373,6 +377,31 @@ def test_epsilon_ladder_validation():
         epsilon_regularized(2.0, 1.0, +1, 1.0, ONE, chi, [1.5, 0.5])
     with pytest.raises(DomainError):
         epsilon_regularized(2.0, 1.0, +1, 1.0, ONE, chi, [0.1])
+
+
+def test_epsilon_path_reports_a_missed_tolerance():
+    # with no tolerance to meet, the compact part stops at the node budget
+    # short of it: the call raises instead of returning the rungs' values
+    cfg = QuadratureConfig(rel_tol=0.0, abs_tol=0.0, max_nodes=30000)
+    with pytest.raises(ConvergenceError):
+        epsilon_regularized(2.0, 1.0, +1, 1.0, GAUSS, default_regularizer(), cfg=cfg)
+
+
+@pytest.mark.parametrize("name", ["constant_one", "gaussian"])
+def test_epsilon_path_honours_cutoff_radius(monkeypatch, name):
+    # cutoff_radius is the least tail abscissa of the eps path too
+    starts = []
+    tail_ = osc_mod._tail
+
+    def tail(chain, X):
+        starts.append(X)
+        return tail_(chain, X)
+
+    monkeypatch.setattr(osc_mod, "_tail", tail)
+    a, chi = builtin(name), default_regularizer()
+    v = epsilon_regularized(2.0, 1.0, +1, 1.0, a, chi, cfg=QuadratureConfig(cutoff_radius=50.0))
+    assert len(starts) == 1 and starts[0] >= 50.0
+    assert abs(v - epsilon_regularized(2.0, 1.0, +1, 1.0, a, chi)) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -645,7 +674,7 @@ def test_filon_and_gl_compact_engines_agree(p, q, lam):
     # the closed form
     cfg = QuadratureConfig()
     X = max(cfg.cutoff_radius, (40.0 / (lam * p)) ** (1.0 / p))
-    X, far_val, far_bound = _tail(_TermChain(p, lam, +1, ONE, None, q - 1.0, [1.0 + 0.0j]), X)
+    X, far_val, far_bound = _tail(_TermChain(p, lam, +1, ONE, q - 1.0, [1.0 + 0.0j]), X)
     filon = osc_power_integral(lambda x: ONE.deriv_stack(x, 0), X, p, q, lam, +1, [1.0], 0.0,
                                0.3 * cfg.abs_tol, 0.3 * cfg.rel_tol, cfg.max_nodes)
     expect = lam ** (-q / p) * generalized_fresnel(p, q, +1).value
@@ -785,22 +814,22 @@ def test_fullline_rows_share_one_tail_walk(monkeypatch):
     # without the tail mass, which would certify with no boundary term
     a = dataclasses.replace(builtin("polynomial(1,1)*gaussian"), mass=None)
     p, lam, b = 3.0, 1.0, reflected(a)
-    chain = _TermChain(p, lam, +1, a, None, 0.0, [1.0 + 0.0j])
-    X, both, bound = _tail(chain, 2.0, amps=[a, b])
+    chain = _TermChain(p, lam, +1, _halves(a), 0.0, [1.0 + 0.0j])
+    X, both, bound = _tail(chain, 2.0)
     assert bound <= 1e-14 and both.shape == (2,) and both[0] != both[1]
     for sign, amp, value in ((+1, a, both[0]), (-1, b, np.conj(both[1]))):
-        assert _tail(_TermChain(p, lam, sign, amp, None, 0.0, [1.0 + 0.0j]), 2.0) == (
+        assert _tail(_TermChain(p, lam, sign, amp, 0.0, [1.0 + 0.0j]), 2.0) == (
             X, value, bound)
     calls = []
     tail_ = osc_mod._tail
 
-    def tail(chain, X, eps=None, amps=None):
-        calls.append(len(amps))
-        return tail_(chain, X, eps, amps)
+    def tail(chain, X):
+        calls.append(chain.derivs_at(X).shape[1:])  # the rows the walk serves
+        return tail_(chain, X)
 
     monkeypatch.setattr(osc_mod, "_tail", tail)
     rep = os_integral_fullline(3, +1, 1.0, a)
-    assert calls == [2]
+    assert calls == [(2,)]
     halves = [os_integral_halfline(p, 1.0, sign, lam, amp) for sign, amp in ((+1, a), (-1, b))]
     assert (abs(rep.value - sum(h.value for h in halves))
             <= rep.est_error + sum(h.est_error for h in halves))
